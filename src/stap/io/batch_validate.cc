@@ -48,17 +48,15 @@ DocumentVerdict ValidateDocument(const CompiledSchema& schema,
     verdict.message = "document uses elements the schema does not declare";
     return verdict;
   }
+  ValidationResult result;
   if (schema.single_type) {
-    ValidationResult result = ValidateWithDiagnostics(schema.xsd, *tree);
-    verdict.kind = result.ok ? DocumentVerdict::Kind::kValid
-                             : DocumentVerdict::Kind::kInvalid;
-    verdict.message = result.ok ? "" : result.message;
-    return verdict;
+    result = ValidateWithDiagnostics(schema.xsd, *tree);
+  } else if (!schema.edtd.Accepts(*tree)) {
+    result = {false, {}, "document not in the schema language"};
   }
-  const bool ok = schema.edtd.Accepts(*tree);
-  verdict.kind =
-      ok ? DocumentVerdict::Kind::kValid : DocumentVerdict::Kind::kInvalid;
-  if (!ok) verdict.message = "document not in the schema language";
+  verdict.kind = result.ok ? DocumentVerdict::Kind::kValid
+                           : DocumentVerdict::Kind::kInvalid;
+  verdict.message = std::move(result.message);
   return verdict;
 }
 

@@ -1,25 +1,11 @@
 #include "stap/schema/dtd.h"
 
+#include <numeric>
 #include <sstream>
 
-#include "stap/base/check.h"
+#include "stap/schema/streaming.h"
 
 namespace stap {
-
-namespace {
-
-bool AcceptsSubtree(const Dtd& dtd, const Tree& node) {
-  Word child_string;
-  child_string.reserve(node.children.size());
-  for (const Tree& child : node.children) child_string.push_back(child.label);
-  if (!dtd.content[node.label].Accepts(child_string)) return false;
-  for (const Tree& child : node.children) {
-    if (!AcceptsSubtree(dtd, child)) return false;
-  }
-  return true;
-}
-
-}  // namespace
 
 Dtd Dtd::LeafOnly(const Alphabet& sigma) {
   Dtd dtd;
@@ -35,9 +21,11 @@ int64_t Dtd::Size() const {
 }
 
 bool Dtd::Accepts(const Tree& tree) const {
-  if (tree.label < 0 || tree.label >= num_symbols()) return false;
-  if (!StateSetContains(start_symbols, tree.label)) return false;
-  return AcceptsSubtree(*this, tree);
+  // An EDTD whose types are its labels.
+  std::vector<int> identity(num_symbols());
+  std::iota(identity.begin(), identity.end(), 0);
+  EdtdValidator<Dfa> validator(identity, content, start_symbols);
+  return ValidateTree(tree, &validator);
 }
 
 std::string Dtd::ToString() const {

@@ -1,9 +1,10 @@
 #include "stap/schema/edtd.h"
 
-#include <algorithm>
+#include <numeric>
 #include <sstream>
 
 #include "stap/base/check.h"
+#include "stap/schema/streaming.h"
 
 namespace stap {
 
@@ -26,49 +27,16 @@ int64_t Edtd::Size() const {
 }
 
 std::vector<int> Edtd::PossibleTypes(const Tree& subtree) const {
-  // Bottom-up: types for each child first.
-  std::vector<std::vector<int>> child_types;
-  child_types.reserve(subtree.children.size());
-  for (const Tree& child : subtree.children) {
-    child_types.push_back(PossibleTypes(child));
-    if (child_types.back().empty()) return {};
-  }
-
-  std::vector<int> result;
-  for (int tau = 0; tau < num_types(); ++tau) {
-    if (mu[tau] != subtree.label) continue;
-    // Does content[tau] accept some word w with w_i in child_types[i]?
-    const Dfa& dfa = content[tau];
-    if (dfa.num_states() == 0) continue;
-    StateSet states = {dfa.initial()};
-    for (const std::vector<int>& options : child_types) {
-      StateSet next;
-      for (int q : states) {
-        for (int candidate : options) {
-          int r = dfa.Next(q, candidate);
-          if (r != kNoState) StateSetInsert(next, r);
-        }
-      }
-      states = std::move(next);
-      if (states.empty()) break;
-    }
-    for (int q : states) {
-      if (dfa.IsFinal(q)) {
-        result.push_back(tau);
-        break;
-      }
-    }
-  }
-  return result;
+  std::vector<int> all_types(num_types());
+  std::iota(all_types.begin(), all_types.end(), 0);
+  EdtdValidator<Dfa> validator(mu, content, all_types);
+  if (!ValidateTree(subtree, &validator)) return {};
+  return validator.root_types();
 }
 
 bool Edtd::Accepts(const Tree& tree) const {
-  if (tree.label < 0 || tree.label >= num_symbols()) return false;
-  std::vector<int> root_types = PossibleTypes(tree);
-  for (int tau : root_types) {
-    if (StateSetContains(start_types, tau)) return true;
-  }
-  return false;
+  EdtdValidator<Dfa> validator(mu, content, start_types);
+  return ValidateTree(tree, &validator);
 }
 
 std::vector<int> Edtd::OccurringTypes(int tau) const {

@@ -49,8 +49,8 @@ struct Edtd {
   int64_t Size() const;
 
   // Membership test: does some typing of `tree` satisfy the schema?
-  // Runs the standard bottom-up unranked-tree-automaton evaluation,
-  // polynomial in |tree| * |this|.
+  // One streaming pass of EdtdValidator (the bottom-up type-set
+  // evaluation, pruned top-down), polynomial in |tree| * |this|.
   bool Accepts(const Tree& tree) const;
 
   // The set of types assignable to the root of `subtree` when it occurs

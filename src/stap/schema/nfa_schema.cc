@@ -10,6 +10,7 @@
 #include "stap/base/check.h"
 #include "stap/regex/glushkov.h"
 #include "stap/regex/parser.h"
+#include "stap/schema/streaming.h"
 #include "stap/schema/text_format.h"
 
 namespace stap {
@@ -58,38 +59,6 @@ Nfa TypeAutomatonNfa(const EdtdNfa& edtd) {
   return automaton;
 }
 
-std::vector<int> PossibleTypesNfa(const EdtdNfa& edtd, const Tree& subtree) {
-  std::vector<std::vector<int>> child_types;
-  child_types.reserve(subtree.children.size());
-  for (const Tree& child : subtree.children) {
-    child_types.push_back(PossibleTypesNfa(edtd, child));
-    if (child_types.back().empty()) return {};
-  }
-  std::vector<int> result;
-  for (int tau = 0; tau < edtd.num_types(); ++tau) {
-    if (edtd.mu[tau] != subtree.label) continue;
-    const Nfa& nfa = edtd.content[tau];
-    StateSet states = nfa.initial();
-    for (const std::vector<int>& options : child_types) {
-      StateSet next;
-      for (int q : states) {
-        for (int candidate : options) {
-          for (int r : nfa.Next(q, candidate)) StateSetInsert(next, r);
-        }
-      }
-      states = std::move(next);
-      if (states.empty()) break;
-    }
-    for (int q : states) {
-      if (nfa.IsFinal(q)) {
-        result.push_back(tau);
-        break;
-      }
-    }
-  }
-  return result;
-}
-
 }  // namespace
 
 EdtdNfa EdtdNfa::FromEdtd(const Edtd& edtd) {
@@ -111,11 +80,8 @@ int64_t EdtdNfa::Size() const {
 }
 
 bool EdtdNfa::Accepts(const Tree& tree) const {
-  if (tree.label < 0 || tree.label >= sigma.size()) return false;
-  for (int tau : PossibleTypesNfa(*this, tree)) {
-    if (StateSetContains(start_types, tau)) return true;
-  }
-  return false;
+  EdtdValidator<Nfa> validator(mu, content, start_types);
+  return ValidateTree(tree, &validator);
 }
 
 Edtd EdtdNfa::Determinized() const {

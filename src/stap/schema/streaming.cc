@@ -8,11 +8,26 @@ namespace stap {
 
 StreamingValidator::StreamingValidator(const DfaXsd* xsd) : xsd_(xsd) {
   STAP_CHECK(xsd != nullptr);
-  xsd->CheckWellFormed();
+}
+
+TreePath StreamingValidator::Path(size_t length) const {
+  TreePath path(length);
+  for (size_t i = 0; i < length; ++i) path[i] = stack_[i].num_children - 1;
+  return path;
+}
+
+bool StreamingValidator::Fail(Violation::Kind kind, size_t path_length) {
+  ok_ = false;
+  violation_.kind = kind;
+  violation_.path = Path(path_length);
+  return false;
 }
 
 bool StreamingValidator::StartElement(int symbol) {
+  using Kind = Violation::Kind;
   if (!ok_) return false;
+  // The child's path ends at its parent's num_children - 1.
+  if (!stack_.empty()) ++stack_.back().num_children;
   // Reject-before-negativity matters: a negative symbol promoted into an
   // unsigned comparison would wrap to a huge value and could never be
   // caught below, so test the sign first and compare magnitudes in an
@@ -20,53 +35,46 @@ bool StreamingValidator::StartElement(int symbol) {
   if (symbol < 0 ||
       static_cast<uint64_t>(symbol) >=
           static_cast<uint64_t>(xsd_->sigma.size())) {
-    ok_ = false;
-    return false;
+    return Fail(stack_.empty() ? Kind::kRootNotAllowed : Kind::kUndeclared,
+                stack_.size());
   }
   if (stack_.empty()) {
     // Root element: one per document, from the start symbols.
     if (saw_root_ || !StateSetContains(xsd_->start_symbols, symbol)) {
-      ok_ = false;
-      return false;
+      return Fail(saw_root_ ? Kind::kMalformed : Kind::kRootNotAllowed, 0);
     }
     saw_root_ = true;
   } else {
     // Advance the parent's content run.
     Frame& parent = stack_.back();
     if (parent.content_state == kNoState) {
-      ok_ = false;
-      return false;
+      return Fail(Kind::kContent, stack_.size() - 1);
     }
     parent.content_state =
         xsd_->content[parent.xsd_state].Next(parent.content_state, symbol);
     if (parent.content_state == kNoState) {
-      ok_ = false;
-      return false;
+      return Fail(Kind::kContent, stack_.size() - 1);
     }
   }
   int from = stack_.empty() ? xsd_->automaton.initial() : stack_.back().xsd_state;
   int state = xsd_->automaton.Next(from, symbol);
   if (state == kNoState) {
-    ok_ = false;
-    return false;
+    return Fail(stack_.empty() ? Kind::kRootUndeclared : Kind::kUndeclared,
+                stack_.size());
   }
   const Dfa& content = xsd_->content[state];
-  stack_.push_back(
-      Frame{state, content.num_states() > 0 ? content.initial() : kNoState});
+  stack_.push_back(Frame{
+      state, content.num_states() > 0 ? content.initial() : kNoState, 0});
   return true;
 }
 
 bool StreamingValidator::EndElement() {
   if (!ok_) return false;
-  if (stack_.empty()) {
-    ok_ = false;
-    return false;
-  }
+  if (stack_.empty()) return Fail(Violation::Kind::kMalformed, 0);
   const Frame& frame = stack_.back();
   if (frame.content_state == kNoState ||
       !xsd_->content[frame.xsd_state].IsFinal(frame.content_state)) {
-    ok_ = false;
-    return false;
+    return Fail(Violation::Kind::kContent, stack_.size() - 1);
   }
   stack_.pop_back();
   return true;
@@ -78,27 +86,7 @@ bool StreamingValidator::EndDocument() {
 
 bool ValidateStreaming(const DfaXsd& xsd, const Tree& tree) {
   StreamingValidator validator(&xsd);
-  // Explicit-stack event generation: documents can be deeper than the
-  // call stack allows. As in the recursive version, an element whose
-  // StartElement is rejected gets no matching EndElement (the validator
-  // is already latched to rejected at that point).
-  struct Frame {
-    const Tree* node;
-    size_t next_child;
-  };
-  std::vector<Frame> stack;
-  if (validator.StartElement(tree.label)) stack.push_back(Frame{&tree, 0});
-  while (!stack.empty()) {
-    Frame& frame = stack.back();
-    if (frame.next_child == frame.node->children.size()) {
-      validator.EndElement();
-      stack.pop_back();
-      continue;
-    }
-    const Tree& child = frame.node->children[frame.next_child++];
-    if (validator.StartElement(child.label)) stack.push_back(Frame{&child, 0});
-  }
-  return validator.EndDocument();
+  return ValidateTree(tree, &validator);
 }
 
 }  // namespace stap

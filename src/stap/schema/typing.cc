@@ -3,6 +3,7 @@
 #include <sstream>
 
 #include "stap/base/check.h"
+#include "stap/schema/streaming.h"
 
 namespace stap {
 
@@ -19,20 +20,16 @@ int64_t SatMul(int64_t a, int64_t b, int64_t cap) {
   return a * b;
 }
 
-// Per-node typing counts: counts[tau] = number of typings of `node` whose
-// root gets type tau (0 when µ(tau) mismatches or no typing exists).
-std::vector<int64_t> TypingCounts(const Edtd& edtd, const Tree& node,
-                                  int64_t cap) {
+// Per-node typing counts: counts[tau] = number of typings of a node
+// labeled `label` whose root gets type tau (0 when µ(tau) mismatches or no
+// typing exists), from the counts of its children.
+std::vector<int64_t> TypingCounts(
+    const Edtd& edtd, int label,
+    const std::vector<std::vector<int64_t>>& child_counts, int64_t cap) {
   const int n = edtd.num_types();
-  std::vector<std::vector<int64_t>> child_counts;
-  child_counts.reserve(node.children.size());
-  for (const Tree& child : node.children) {
-    child_counts.push_back(TypingCounts(edtd, child, cap));
-  }
-
   std::vector<int64_t> result(n, 0);
   for (int tau = 0; tau < n; ++tau) {
-    if (edtd.mu[tau] != node.label) continue;
+    if (edtd.mu[tau] != label) continue;
     const Dfa& dfa = edtd.content[tau];
     if (dfa.num_states() == 0) continue;
     // Weighted path count through the content DFA: weight of symbol t at
@@ -62,83 +59,109 @@ std::vector<int64_t> TypingCounts(const Edtd& edtd, const Tree& node,
   return result;
 }
 
-// Extracts one typing, assuming counts certify existence: assigns `tau`
-// to `node` and recurses along a satisfying content word.
-void ExtractTyping(const Edtd& edtd, const Tree& node, int tau,
-                   const TreePath& path, Typing* out) {
-  out->paths.push_back(path);
-  out->types.push_back(tau);
+// Consumes ValidateTree's events and stores the typing counts of every
+// node, numbered in pre-order: each node's counts are computed once, when
+// it closes, from its children's.
+struct NodeCounts {
+  const Edtd& edtd;
+  int64_t cap;
+  std::vector<int> labels = {};
+  std::vector<std::vector<size_t>> children = {};
+  std::vector<std::vector<int64_t>> counts = {};
+  std::vector<size_t> open = {};  // the open elements
 
+  bool StartElement(int symbol) {
+    if (!open.empty()) children[open.back()].push_back(labels.size());
+    open.push_back(labels.size());
+    labels.push_back(symbol);
+    children.emplace_back();
+    counts.emplace_back();
+    return true;
+  }
+  bool EndElement() {
+    const size_t node = open.back();
+    open.pop_back();
+    counts[node] = TypingCounts(edtd, labels[node], ChildCounts(node), cap);
+    return true;
+  }
+  bool EndDocument() { return true; }
+
+  std::vector<std::vector<int64_t>> ChildCounts(size_t node) const {
+    std::vector<std::vector<int64_t>> child_counts;
+    for (size_t c : children[node]) child_counts.push_back(counts[c]);
+    return child_counts;
+  }
+};
+
+// Extracts one typing with `root_type` at the root, top-down over the
+// stored counts. In pre-order a node's type and path are set by its
+// parent before the node is reached.
+Typing ExtractTyping(const Edtd& edtd, const NodeCounts& all, int root_type) {
   const int n = edtd.num_types();
-  std::vector<std::vector<int64_t>> child_counts;
-  child_counts.reserve(node.children.size());
-  for (const Tree& child : node.children) {
-    child_counts.push_back(TypingCounts(edtd, child, int64_t{1} << 40));
-  }
-
-  // Choose child types: walk the content DFA keeping only states from
-  // which acceptance with the remaining children is possible. reachable
-  // sets are computed right-to-left.
-  const Dfa& dfa = edtd.content[tau];
-  const int k = static_cast<int>(node.children.size());
-  // viable[i] = states from which children i..k-1 can be consumed.
-  std::vector<std::vector<bool>> viable(
-      k + 1, std::vector<bool>(dfa.num_states(), false));
-  for (int s = 0; s < dfa.num_states(); ++s) {
-    viable[k][s] = dfa.IsFinal(s);
-  }
-  for (int i = k - 1; i >= 0; --i) {
+  Typing typing;
+  typing.paths.resize(all.labels.size());
+  typing.types.assign(all.labels.size(), root_type);
+  for (size_t node = 0; node < all.labels.size(); ++node) {
+    const std::vector<std::vector<int64_t>> child_counts =
+        all.ChildCounts(node);
+    // Choose child types: walk the content DFA keeping only states from
+    // which acceptance with the remaining children is possible. reachable
+    // sets are computed right-to-left.
+    const Dfa& dfa = edtd.content[typing.types[node]];
+    const int k = static_cast<int>(child_counts.size());
+    // viable[i] = states from which children i..k-1 can be consumed.
+    std::vector<std::vector<bool>> viable(
+        k + 1, std::vector<bool>(dfa.num_states(), false));
     for (int s = 0; s < dfa.num_states(); ++s) {
-      for (int t = 0; t < n && !viable[i][s]; ++t) {
+      viable[k][s] = dfa.IsFinal(s);
+    }
+    for (int i = k - 1; i >= 0; --i) {
+      for (int s = 0; s < dfa.num_states(); ++s) {
+        for (int t = 0; t < n && !viable[i][s]; ++t) {
+          if (child_counts[i][t] == 0) continue;
+          int r = dfa.Next(s, t);
+          if (r != kNoState && viable[i + 1][r]) viable[i][s] = true;
+        }
+      }
+    }
+    int state = dfa.initial();
+    STAP_CHECK(viable[0][state]);
+    for (int i = 0; i < k; ++i) {
+      int chosen = -1;
+      for (int t = 0; t < n; ++t) {
         if (child_counts[i][t] == 0) continue;
-        int r = dfa.Next(s, t);
-        if (r != kNoState && viable[i + 1][r]) viable[i][s] = true;
+        int r = dfa.Next(state, t);
+        if (r != kNoState && viable[i + 1][r]) {
+          chosen = t;
+          state = r;
+          break;
+        }
       }
+      STAP_CHECK(chosen >= 0);
+      const size_t child = all.children[node][i];
+      typing.types[child] = chosen;
+      typing.paths[child] = typing.paths[node];
+      typing.paths[child].push_back(i);
     }
   }
-  int state = dfa.initial();
-  STAP_CHECK(viable[0][state]);
-  for (int i = 0; i < k; ++i) {
-    int chosen = -1;
-    for (int t = 0; t < n; ++t) {
-      if (child_counts[i][t] == 0) continue;
-      int r = dfa.Next(state, t);
-      if (r != kNoState && viable[i + 1][r]) {
-        chosen = t;
-        state = r;
-        break;
-      }
-    }
-    STAP_CHECK(chosen >= 0);
-    TreePath child_path = path;
-    child_path.push_back(i);
-    ExtractTyping(edtd, node.children[i], chosen, child_path, out);
-  }
+  return typing;
 }
 
-void AssignXsdTypes(const DfaXsd& xsd, const Tree& node, int state,
-                    const TreePath& path, Typing* out, bool* ok) {
-  if (!*ok) return;
-  out->paths.push_back(path);
-  out->types.push_back(state - 1);
-  Word child_string;
-  child_string.reserve(node.children.size());
-  for (const Tree& child : node.children) child_string.push_back(child.label);
-  if (!xsd.content[state].Accepts(child_string)) {
-    *ok = false;
-    return;
+// Records each element's XSD state, in pre-order, as ValidateTree opens
+// it.
+struct TypeRecorder {
+  StreamingValidator validator;
+  Typing* typing;
+
+  bool StartElement(int symbol) {
+    if (!validator.StartElement(symbol)) return false;
+    typing->paths.push_back(validator.path());
+    typing->types.push_back(validator.state() - 1);
+    return true;
   }
-  for (size_t i = 0; i < node.children.size(); ++i) {
-    int child_state = xsd.automaton.Next(state, node.children[i].label);
-    if (child_state == kNoState) {
-      *ok = false;
-      return;
-    }
-    TreePath child_path = path;
-    child_path.push_back(static_cast<int>(i));
-    AssignXsdTypes(xsd, node.children[i], child_state, child_path, out, ok);
-  }
-}
+  bool EndElement() { return validator.EndElement(); }
+  bool EndDocument() { return validator.EndDocument(); }
+};
 
 }  // namespace
 
@@ -156,39 +179,27 @@ std::string Typing::ToString(const Edtd& schema, const Tree& tree) const {
 }
 
 std::optional<Typing> AssignTypes(const DfaXsd& xsd, const Tree& tree) {
-  if (tree.label < 0 || tree.label >= xsd.sigma.size() ||
-      !StateSetContains(xsd.start_symbols, tree.label)) {
-    return std::nullopt;
-  }
-  int state = xsd.automaton.Next(xsd.automaton.initial(), tree.label);
-  if (state == kNoState) return std::nullopt;
   Typing typing;
-  bool ok = true;
-  AssignXsdTypes(xsd, tree, state, {}, &typing, &ok);
-  if (!ok) return std::nullopt;
+  TypeRecorder recorder{StreamingValidator(&xsd), &typing};
+  if (!ValidateTree(tree, &recorder)) return std::nullopt;
   return typing;
 }
 
 std::optional<Typing> AssignTypesEdtd(const Edtd& edtd, const Tree& tree) {
-  if (tree.label < 0 || tree.label >= edtd.num_symbols()) return std::nullopt;
-  std::vector<int64_t> root_counts =
-      TypingCounts(edtd, tree, int64_t{1} << 40);
+  NodeCounts all{edtd, int64_t{1} << 40};
+  ValidateTree(tree, &all);
   for (int tau : edtd.start_types) {
-    if (root_counts[tau] > 0) {
-      Typing typing;
-      ExtractTyping(edtd, tree, tau, {}, &typing);
-      return typing;
-    }
+    if (all.counts[0][tau] > 0) return ExtractTyping(edtd, all, tau);
   }
   return std::nullopt;
 }
 
 int64_t CountTypings(const Edtd& edtd, const Tree& tree, int64_t cap) {
-  if (tree.label < 0 || tree.label >= edtd.num_symbols()) return 0;
-  std::vector<int64_t> root_counts = TypingCounts(edtd, tree, cap);
+  NodeCounts all{edtd, cap};
+  ValidateTree(tree, &all);
   int64_t total = 0;
   for (int tau : edtd.start_types) {
-    total = SatAdd(total, root_counts[tau], cap);
+    total = SatAdd(total, all.counts[0][tau], cap);
   }
   return total;
 }

@@ -17,8 +17,8 @@
 
 namespace stap {
 
-// A typing maps each node (in the breadth-first order of Tree::AllPaths)
-// to a type id.
+// A typing maps each node, in pre-order (document order of the start
+// tags), to a type id.
 struct Typing {
   std::vector<TreePath> paths;
   std::vector<int> types;  // parallel to paths
@@ -27,11 +27,11 @@ struct Typing {
 };
 
 // The unique typing of `tree` under the single-type schema, or nullopt if
-// the document is invalid. One top-down pass.
+// the document is invalid. One StreamingValidator pass.
 std::optional<Typing> AssignTypes(const DfaXsd& xsd, const Tree& tree);
 
-// Some typing of `tree` under an arbitrary EDTD, or nullopt. Bottom-up
-// possible-type computation plus one top-down choice pass.
+// Some typing of `tree` under an arbitrary EDTD, or nullopt. Per-node
+// typing counts in one bottom-up pass, then one top-down choice pass.
 std::optional<Typing> AssignTypesEdtd(const Edtd& edtd, const Tree& tree);
 
 // The number of distinct typings of `tree` under `edtd` (its *typing

@@ -22,8 +22,8 @@ struct ValidationResult {
   std::string message;      // human-readable reason
 };
 
-// One-pass top-down validation of `tree` against `xsd`, reporting the
-// first (pre-order) violation.
+// One StreamingValidator pass over `tree`, reporting the first violation
+// in document order (of start and end tags), as a streaming reader sees it.
 ValidationResult ValidateWithDiagnostics(const DfaXsd& xsd, const Tree& tree);
 
 }  // namespace stap

@@ -7,6 +7,8 @@
 #include <string>
 
 #include "stap/automata/dot.h"
+#include "stap/io/artifact.h"
+#include "stap/io/batch_validate.h"
 #include "stap/regex/parser.h"
 #include "stap/schema/builder.h"
 #include "stap/schema/dtd_io.h"
@@ -15,6 +17,8 @@
 #include "stap/schema/single_type.h"
 #include "stap/schema/streaming.h"
 #include "stap/schema/text_format.h"
+#include "stap/schema/type_automaton.h"
+#include "stap/schema/typing.h"
 #include "stap/schema/validate.h"
 #include "stap/schema/xsd_io.h"
 #include "stap/tree/xml.h"
@@ -107,6 +111,78 @@ TEST(DeepDocumentTest, PathTreeDepth150kValidatesWithoutStackOverflow) {
   EXPECT_FALSE(ValidateStreaming(xsd, broken));
   // `deep` and `broken` are destroyed here; the iterative ~Tree keeps that
   // from recursing kDepth frames deep.
+}
+
+// A non-single-type schema: the root's type (R1 or R2) is only settled by
+// the leaf at the bottom of the <s> chain, so every validator has to carry
+// candidate types through the whole depth.
+constexpr char kTwoChainsSchema[] = R"(
+start R1 R2
+type R1 : r -> Sub1
+type R2 : r -> Sub2
+type Sub1 : s -> Sub1 | X
+type Sub2 : s -> Sub2 | Y
+type X : x -> %
+type Y : y -> %
+)";
+
+// The labels r s^depth x, with <x> in place of the <s> at depth/2 when
+// `broken` (an <x> must be a leaf).
+Word TwoChainsWord(const Alphabet& sigma, int depth, bool broken) {
+  Word word(depth + 2, sigma.Find("s"));
+  word.front() = sigma.Find("r");
+  word.back() = sigma.Find("x");
+  if (broken) word[depth / 2] = sigma.Find("x");
+  return word;
+}
+
+std::string TwoChainsXml(int depth, bool broken) {
+  auto name = [&](int i) -> std::string {
+    return broken && i == depth / 2 ? "x" : "s";
+  };
+  std::string xml = "<r>";
+  for (int i = 1; i <= depth; ++i) xml += "<" + name(i) + ">";
+  xml += "<x/>";
+  for (int i = depth; i >= 1; --i) xml += "</" + name(i) + ">";
+  return xml + "</r>";
+}
+
+TEST(DeepDocumentTest, NonSingleTypeDepth150kValidatesWithoutStackOverflow) {
+  constexpr int kDepth = 150000;
+  StatusOr<Edtd> parsed = ParseSchema(kTwoChainsSchema);
+  ASSERT_TRUE(parsed.ok()) << parsed.status();
+  const Edtd edtd = ReduceEdtd(*parsed);
+  ASSERT_FALSE(IsSingleType(edtd));
+  StatusOr<EdtdNfa> nfa_schema = ParseSchemaNfa(kTwoChainsSchema);
+  ASSERT_TRUE(nfa_schema.ok()) << nfa_schema.status();
+  StatusOr<Dtd> dtd = ParseDtd(
+      "<!ELEMENT r (s)> <!ELEMENT s (s | x | y)> <!ELEMENT x EMPTY> "
+      "<!ELEMENT y EMPTY>");
+  ASSERT_TRUE(dtd.ok()) << dtd.status();
+  StatusOr<CompiledSchema> compiled = CompileSchema(kTwoChainsSchema, nullptr);
+  ASSERT_TRUE(compiled.ok()) << compiled.status();
+  ASSERT_FALSE(compiled->single_type);
+
+  for (bool broken : {false, true}) {
+    SCOPED_TRACE(broken ? "violation at depth/2" : "valid");
+    const Tree tree = Tree::Unary(TwoChainsWord(edtd.sigma, kDepth, broken));
+    EXPECT_EQ(edtd.Accepts(tree), !broken);
+    EXPECT_EQ(edtd.PossibleTypes(tree),
+              broken ? std::vector<int>{}
+                     : std::vector<int>{edtd.types.Find("R1")});
+    const Tree nfa_tree =
+        Tree::Unary(TwoChainsWord(nfa_schema->sigma, kDepth, broken));
+    EXPECT_EQ(nfa_schema->Accepts(nfa_tree), !broken);
+    const Tree dtd_tree =
+        Tree::Unary(TwoChainsWord(dtd->sigma, kDepth, broken));
+    EXPECT_EQ(dtd->Accepts(dtd_tree), !broken);
+    EXPECT_EQ(CountTypings(edtd, tree), broken ? 0 : 1);
+    DocumentVerdict verdict =
+        ValidateDocument(*compiled, TwoChainsXml(kDepth, broken), nullptr);
+    EXPECT_EQ(verdict.kind, broken ? DocumentVerdict::Kind::kInvalid
+                                   : DocumentVerdict::Kind::kValid)
+        << verdict.message;
+  }
 }
 
 // The XML reader feeds the validators at the CLI surface, so it has to

@@ -171,6 +171,40 @@ TEST(Serve, InlineSchemaTextCompilesAndMemoizes) {
   EXPECT_EQ(bad->code, ResponseCode::kError);
 }
 
+// A document deeper than the call stack allows, against an inline schema
+// that is not single-type: the request gets a verdict (the validators are
+// iterative), and the server goes on answering.
+TEST(Serve, DeepDocumentAgainstNonSingleTypeInlineSchema) {
+  constexpr char kTwoChains[] = R"(
+start R1 R2
+type R1 : r -> Sub1
+type R2 : r -> Sub2
+type Sub1 : s -> Sub1 | X
+type Sub2 : s -> Sub2 | Y
+type X : x -> %
+type Y : y -> %
+)";
+  constexpr int kDepth = 150000;
+  std::string deep = "<r>";
+  for (int i = 0; i < kDepth; ++i) deep += "<s>";
+  deep += "<y/>";
+  for (int i = 0; i < kDepth; ++i) deep += "</s>";
+  deep += "</r>";
+
+  std::unique_ptr<Server> server = StartWithLib({});
+  ServeClient client;
+  ASSERT_TRUE(client.Connect("127.0.0.1", server->port()).ok());
+  StatusOr<ServeResponse> verdict =
+      client.Call(ValidateRequest(1, kTwoChains, deep));
+  ASSERT_TRUE(verdict.ok()) << verdict.status();
+  EXPECT_EQ(verdict->code, ResponseCode::kOk) << verdict->body;
+
+  StatusOr<ServeResponse> next =
+      client.Call(ValidateRequest(2, "@lib", kInvalidDoc));
+  ASSERT_TRUE(next.ok()) << next.status();
+  EXPECT_EQ(next->code, ResponseCode::kInvalid);
+}
+
 TEST(Serve, InclusionAndApproximationOps) {
   std::unique_ptr<Server> server = StartWithLib({});
   ServeClient client;
@@ -343,6 +377,12 @@ TEST(Serve, TruncatedFrameDoesNotCrashTheServer) {
       again.Call(ValidateRequest(1, "@lib", kValidDoc));
   ASSERT_TRUE(ok.ok());
   EXPECT_EQ(ok->code, ResponseCode::kOk);
+  // The first connection's handler counts the truncation on its own
+  // thread, possibly after the second request is answered: poll briefly.
+  for (int attempt = 0; attempt < 200 && bad_frames->value() == bad0;
+       ++attempt) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(5));
+  }
   EXPECT_GE(bad_frames->value() - bad0, 1);
 }
 

@@ -156,6 +156,24 @@ TEST(ValidateTest, TruncatesLongChildStringsInDiagnostics) {
       << result.message;
 }
 
+TEST(ValidateTest, ReportsTheFirstViolationInDocumentOrder) {
+  DfaXsd xsd = DfaXsdFromStEdtd(ReduceEdtd(LibrarySchema()));
+  Alphabet& s = xsd.sigma;
+  int library = s.Find("library"), book = s.Find("book"),
+      title = s.Find("title"), section = s.Find("section");
+
+  // Two violations: <book> lacks a chapter, which shows at </book>, and
+  // <title> has a child, which shows at <section> -- earlier in the
+  // document, though <book> comes first in pre-order.
+  Tree doc(library, {Tree(book, {Tree(title, {Tree(section)})})});
+  ValidationResult result = ValidateWithDiagnostics(xsd, doc);
+  ASSERT_FALSE(result.ok);
+  EXPECT_EQ(result.violation_path, (TreePath{0, 0}));
+  EXPECT_EQ(result.message,
+            "child string [section] of element <title> does not match its "
+            "content model");
+}
+
 TEST(ValidateTest, AgreesWithAcceptsOnEnumeration) {
   DfaXsd xsd = DfaXsdFromStEdtd(ReduceEdtd(LibrarySchema()));
   for (const Tree& tree : EnumerateTrees({3, 2, 5})) {

@@ -5,21 +5,28 @@
 // random mutations of valid documents, and on arbitrary enumerated
 // trees. A second group drives the event API directly with malformed
 // sequences — out-of-range symbols, a second root, EndElement with
-// nothing open — which no tree-shaped input can produce.
+// nothing open — which no tree-shaped input can produce. A third checks
+// the EDTD validator (Edtd/EdtdNfa::Accepts, Edtd::PossibleTypes) and
+// typing counts on random non-single-type EDTDs against the exact
+// tree-automaton path: the binary encoding run through BtaFromEdtd.
 #include <gtest/gtest.h>
 
 #include <optional>
 #include <random>
+#include <string>
 #include <vector>
 
 #include "stap/gen/random.h"
 #include "stap/schema/builder.h"
+#include "stap/schema/nfa_schema.h"
 #include "stap/schema/reduce.h"
 #include "stap/schema/single_type.h"
 #include "stap/schema/streaming.h"
 #include "stap/schema/type_automaton.h"
+#include "stap/schema/typing.h"
 #include "stap/schema/validate.h"
 #include "stap/tree/enumerate.h"
+#include "stap/treeauto/encoding.h"
 #include "test_seed.h"
 
 namespace stap {
@@ -109,6 +116,96 @@ TEST_P(StreamingDifferentialTest, AgreesOnRandomSchemasAndTrees) {
 INSTANTIATE_TEST_SUITE_P(Seeds, StreamingDifferentialTest,
                          ::testing::Range(0, 25));
 
+// A random member of L(edtd) rooted at type `tau`, or nullopt: each node
+// takes its children's types along a random accepting run of its content
+// DFA (at most three children, stopping at a final state with
+// probability 1/2), and only leaves are built below `depth` levels.
+std::optional<Tree> SampleEdtdTree(const Edtd& edtd, int tau, int depth,
+                                   std::mt19937* rng) {
+  constexpr size_t kMaxWidth = 3;
+  const Dfa& dfa = edtd.content[tau];
+  if (dfa.num_states() == 0) return std::nullopt;
+  Word child_types;
+  int state = dfa.initial();
+  while (true) {
+    const bool can_grow = depth > 0 && child_types.size() < kMaxWidth;
+    if (dfa.IsFinal(state) && (!can_grow || (*rng)() % 2 == 0)) break;
+    if (!can_grow) return std::nullopt;
+    std::vector<int> moves;
+    for (int t = 0; t < edtd.num_types(); ++t) {
+      if (dfa.Next(state, t) != kNoState) moves.push_back(t);
+    }
+    if (moves.empty()) return std::nullopt;
+    const int t = moves[(*rng)() % moves.size()];
+    child_types.push_back(t);
+    state = dfa.Next(state, t);
+  }
+  Tree tree(edtd.mu[tau]);
+  for (int t : child_types) {
+    std::optional<Tree> child = SampleEdtdTree(edtd, t, depth - 1, rng);
+    if (!child.has_value()) return std::nullopt;
+    tree.children.push_back(std::move(*child));
+  }
+  return tree;
+}
+
+class EdtdValidatorDifferentialTest : public ::testing::TestWithParam<int> {};
+
+TEST_P(EdtdValidatorDifferentialTest, AgreesWithTreeAutomatonPath) {
+  std::mt19937 rng(MixSeed(1000 + GetParam()));
+  RandomSchemaParams params;
+  params.num_symbols = 2;
+  params.num_types = 5;
+  params.content_breadth = 2;
+  Edtd edtd = RandomEdtd(&rng, params);
+  for (int tries = 0; IsSingleType(edtd) && tries < 100; ++tries) {
+    edtd = RandomEdtd(&rng, params);
+  }
+  ASSERT_FALSE(IsSingleType(edtd));
+  const EdtdNfa nfa_view = EdtdNfa::FromEdtd(edtd);
+  // Bta states 0..num_types-1 mean "the subtree has type τ", whatever
+  // the start types; the start types are its final states.
+  const Bta bta = BtaFromEdtd(edtd);
+
+  auto expect_agree = [&](const Tree& tree) {
+    const Tree binary = EncodeBinary(tree, edtd.num_symbols());
+    std::vector<int> possible;
+    for (int q : bta.EvalStates(binary)) {
+      if (q < edtd.num_types()) possible.push_back(q);
+    }
+    const bool accepted = bta.Accepts(binary);
+    EXPECT_EQ(edtd.PossibleTypes(tree), possible) << tree.ToString(edtd.sigma);
+    EXPECT_EQ(edtd.Accepts(tree), accepted) << tree.ToString(edtd.sigma);
+    EXPECT_EQ(nfa_view.Accepts(tree), accepted) << tree.ToString(edtd.sigma);
+    EXPECT_EQ(CountTypings(edtd, tree) > 0, accepted)
+        << tree.ToString(edtd.sigma);
+  };
+
+  // Sampled members, then mutated members.
+  int members = 0;
+  for (int attempt = 0; attempt < 200 && members < 8; ++attempt) {
+    const int root = edtd.start_types[rng() % edtd.start_types.size()];
+    std::optional<Tree> tree = SampleEdtdTree(edtd, root, 4, &rng);
+    if (!tree.has_value()) continue;
+    ++members;
+    EXPECT_TRUE(edtd.Accepts(*tree)) << tree->ToString(edtd.sigma);
+    expect_agree(*tree);
+    Tree mutated = Mutate(*tree, &rng, params.num_symbols);
+    for (int j = 0; j < 3; ++j) {
+      expect_agree(mutated);
+      mutated = Mutate(mutated, &rng, params.num_symbols);
+    }
+  }
+  EXPECT_GT(members, 0);
+  // Exhaustive small trees, valid or not.
+  for (const Tree& tree : EnumerateTrees({3, 2, params.num_symbols})) {
+    expect_agree(tree);
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(Seeds, EdtdValidatorDifferentialTest,
+                         ::testing::Range(0, 25));
+
 DfaXsd ChainXsd() {
   SchemaBuilder builder;
   builder.AddType("R", "a", "R?");
@@ -153,6 +250,14 @@ TEST(StreamingMalformedTest, OutOfRangeSymbolsAreRejectedNotIndexed) {
       EXPECT_FALSE(v.StartElement(symbol)) << symbol;
       EXPECT_FALSE(v.ok()) << symbol;
     }
+    // The same labels in a tree: the diagnostic names them by id.
+    ValidationResult result =
+        ValidateWithDiagnostics(xsd, Tree(0, {Tree(symbol)}));
+    EXPECT_FALSE(result.ok) << symbol;
+    EXPECT_EQ(result.violation_path, TreePath{0}) << symbol;
+    EXPECT_NE(result.message.find("<#" + std::to_string(symbol) + ">"),
+              std::string::npos)
+        << result.message;
   }
 }
 

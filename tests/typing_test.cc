@@ -95,6 +95,28 @@ TEST(TypingTest, ExtractedTypingsAreConsistent) {
   }
 }
 
+TEST(TypingTest, TypingsListNodesInPreOrder) {
+  Edtd schema = ContextSchema();
+  DfaXsd xsd = DfaXsdFromStEdtd(schema);
+  Alphabet& s = schema.sigma;
+  int a = s.Find("a"), l = s.Find("l"), r = s.Find("r"), x = s.Find("x");
+  // Breadth-first order would list [1] before [0, 0].
+  Tree doc(a, {Tree(l, {Tree(x)}), Tree(r, {Tree(x)})});
+  const std::vector<TreePath> pre_order = {{}, {0}, {0, 0}, {1}, {1, 0}};
+  std::optional<Typing> xsd_typing = AssignTypes(xsd, doc);
+  ASSERT_TRUE(xsd_typing.has_value());
+  EXPECT_EQ(xsd_typing->paths, pre_order);
+  std::optional<Typing> edtd_typing = AssignTypesEdtd(schema, doc);
+  ASSERT_TRUE(edtd_typing.has_value());
+  EXPECT_EQ(edtd_typing->paths, pre_order);
+  EXPECT_EQ(edtd_typing->types,
+            (std::vector<int>{schema.types.Find("Root"),
+                              schema.types.Find("Left"),
+                              schema.types.Find("X1"),
+                              schema.types.Find("Right"),
+                              schema.types.Find("X2")}));
+}
+
 TEST(TypingTest, AmbiguityCounting) {
   // Two interchangeable types for the same leaf: 2 typings per leaf.
   SchemaBuilder builder;
