@@ -57,7 +57,7 @@ void BM_InclusionExact(benchmark::State& state) {
   Edtd r2 = ReduceEdtd(d2);
   bool included = false;
   for (auto _ : state) {
-    included = EdtdIncludedInExact(r1, r2);
+    included = *EdtdIncludedInExact(r1, r2, nullptr);
     benchmark::DoNotOptimize(included);
   }
   state.counters["types"] = static_cast<double>(state.range(0));

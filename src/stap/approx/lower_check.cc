@@ -58,7 +58,14 @@ LowerCheckResult CheckMaximalLowerFinite(const Edtd& candidate_in,
   STAP_CHECK(IsSingleType(candidate));
 
   LowerCheckResult result;
-  result.is_lower = EdtdIncludedInExact(candidate, target);
+  StatusOr<bool> is_lower =
+      EdtdIncludedInExact(candidate, target, options.budget);
+  if (!is_lower.ok()) {
+    result.status = is_lower.status();
+    result.exhaustive = false;
+    return result;
+  }
+  result.is_lower = *is_lower;
   if (!result.is_lower) return result;
 
   // Bounded enumerations of both languages. The enumeration itself can be
@@ -153,7 +160,7 @@ StatusOr<bool> IsSingleTypeDefinable(const Edtd& edtd, Budget* budget,
   StatusOr<DfaXsd> upper = MinimalUpperApproximation(reduced, budget, options);
   if (!upper.ok()) return upper.status();
   // L(edtd) ⊆ L(upper) always; definability is the converse inclusion.
-  return EdtdIncludedInExact(StEdtdFromDfaXsd(*upper), reduced);
+  return EdtdIncludedInExact(StEdtdFromDfaXsd(*upper), reduced, budget);
 }
 
 }  // namespace stap

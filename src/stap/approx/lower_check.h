@@ -43,6 +43,7 @@ struct LowerCheckResult {
   // "no extension found within the caps".
   bool exhaustive = true;
   // kResourceExhausted when ClosureOptions::budget tripped during the
+  // inclusion test (is_lower is then unknown and reported false), the
   // enumeration or any closure fixpoint (exhaustive is then also false:
   // the budgeted run proved nothing about the skipped extensions); OK
   // otherwise. A found extension is still a real extension.
@@ -67,11 +68,11 @@ LowerCheckResult CheckMaximalLowerFinite(const Edtd& candidate,
 // it equals its minimal upper approximation.)
 bool IsSingleTypeDefinable(const Edtd& edtd);
 
-// Budgeted variant: the upper construction charges the budget (the
-// dominant exponential cost; the converse inclusion runs on whatever it
-// built). `options` configures that construction — any context supplied
-// there must be exact-mode (upper.h) or the verdict concerns the
-// restricted language only. A null budget is unlimited.
+// Budgeted variant: the upper construction and the converse exact
+// inclusion both charge the budget. `options` configures the upper
+// construction — any context supplied there must be exact-mode (upper.h)
+// or the verdict concerns the restricted language only. A null budget is
+// unlimited.
 StatusOr<bool> IsSingleTypeDefinable(const Edtd& edtd, Budget* budget,
                                      const UpperOptions& options = {});
 

@@ -15,9 +15,13 @@ namespace {
 
 // Searches bottom-up for a binary tree accepted by `bta1` and rejected by
 // `det2` (the determinization of the second automaton). Each discovered
-// product state remembers a witness tree.
-std::optional<Tree> ProductCounterexample(const Bta& bta1, const DetBta& det2,
-                                          int num_binary_symbols) {
+// product state remembers a witness tree. Every interned pair charges the
+// state quota, and every outer iteration of the quadratic fixpoint checks
+// the deadline.
+StatusOr<std::optional<Tree>> ProductCounterexample(const Bta& bta1,
+                                                    const DetBta& det2,
+                                                    int num_binary_symbols,
+                                                    Budget* budget) {
   struct Node {
     int q1;
     int s2;
@@ -26,10 +30,12 @@ std::optional<Tree> ProductCounterexample(const Bta& bta1, const DetBta& det2,
   std::unordered_map<std::pair<int, int>, int, IntPairHash> ids;
   std::vector<Node> nodes;
   std::optional<Tree> counterexample;
+  Status charge_status;
 
   auto intern = [&](int q1, int s2, Tree witness) -> bool {
     auto [it, inserted] = ids.emplace(std::make_pair(q1, s2), nodes.size());
     if (!inserted) return false;
+    if (charge_status.ok()) charge_status = Budget::ChargeStates(budget);
     if (!counterexample.has_value() && bta1.IsFinal(q1) && !det2.IsFinal(s2)) {
       counterexample = witness;
     }
@@ -49,6 +55,8 @@ std::optional<Tree> ProductCounterexample(const Bta& bta1, const DetBta& det2,
     changed = false;
     const size_t known = nodes.size();
     for (size_t i = 0; i < known && !counterexample.has_value(); ++i) {
+      STAP_RETURN_IF_ERROR(charge_status);
+      STAP_RETURN_IF_ERROR(Budget::CheckDeadline(budget));
       for (size_t j = 0; j < known && !counterexample.has_value(); ++j) {
         for (int a = 0; a < num_binary_symbols; ++a) {
           const StateSet& targets =
@@ -70,19 +78,23 @@ std::optional<Tree> ProductCounterexample(const Bta& bta1, const DetBta& det2,
 
 }  // namespace
 
-std::optional<Tree> EdtdInclusionCounterexample(const Edtd& d1,
-                                                const Edtd& d2) {
+StatusOr<std::optional<Tree>> EdtdInclusionCounterexample(const Edtd& d1,
+                                                          const Edtd& d2,
+                                                          Budget* budget) {
   STAP_CHECK(d1.sigma == d2.sigma);
   Bta bta1 = BtaFromEdtd(d1);
-  DetBta det2 = DeterminizeBta(BtaFromEdtd(d2));
-  std::optional<Tree> binary =
-      ProductCounterexample(bta1, det2, d1.num_symbols() + 1);
-  if (!binary.has_value()) return std::nullopt;
+  StatusOr<DetBta> det2 = DeterminizeBta(BtaFromEdtd(d2), budget);
+  if (!det2.ok()) return det2.status();
+  StatusOr<std::optional<Tree>> search =
+      ProductCounterexample(bta1, *det2, d1.num_symbols() + 1, budget);
+  if (!search.ok()) return search.status();
+  const std::optional<Tree>& binary = *search;
+  if (!binary.has_value()) return std::optional<Tree>();
   StatusOr<Tree> decoded = DecodeBinary(*binary, d1.num_symbols());
   // The counterexample search may surface a non-canonical variant (a Σ node
   // with an explicit empty child list); both automata treat it exactly like
   // its canonical form, so fall back to it via a round trip when needed.
-  if (decoded.ok()) return *decoded;
+  if (decoded.ok()) return std::optional<Tree>(*std::move(decoded));
   // Normalize: the only non-canonical shape is a(#, #) standing for leaf a;
   // rewrite bottom-up.
   struct Normalizer {
@@ -106,15 +118,22 @@ std::optional<Tree> EdtdInclusionCounterexample(const Edtd& d1,
   Tree normalized = Normalizer{HashSymbol(d1.num_symbols())}(*binary);
   StatusOr<Tree> retry = DecodeBinary(normalized, d1.num_symbols());
   STAP_CHECK(retry.ok());
-  return *retry;
+  return std::optional<Tree>(*std::move(retry));
 }
 
-bool EdtdIncludedInExact(const Edtd& d1, const Edtd& d2) {
-  return !EdtdInclusionCounterexample(d1, d2).has_value();
+StatusOr<bool> EdtdIncludedInExact(const Edtd& d1, const Edtd& d2,
+                                   Budget* budget) {
+  StatusOr<std::optional<Tree>> counterexample =
+      EdtdInclusionCounterexample(d1, d2, budget);
+  if (!counterexample.ok()) return counterexample.status();
+  return !counterexample->has_value();
 }
 
-bool EdtdEquivalentExact(const Edtd& d1, const Edtd& d2) {
-  return EdtdIncludedInExact(d1, d2) && EdtdIncludedInExact(d2, d1);
+StatusOr<bool> EdtdEquivalentExact(const Edtd& d1, const Edtd& d2,
+                                   Budget* budget) {
+  StatusOr<bool> forward = EdtdIncludedInExact(d1, d2, budget);
+  if (!forward.ok() || !*forward) return forward;
+  return EdtdIncludedInExact(d2, d1, budget);
 }
 
 }  // namespace stap

@@ -9,8 +9,8 @@
 #include "stap/approx/witness.h"
 #include "stap/automata/determinize.h"
 #include "stap/automata/minimize.h"
+#include "stap/count/counter.h"
 #include "stap/schema/builder.h"
-#include "stap/schema/count.h"
 #include "stap/schema/minimize.h"
 #include "stap/schema/reduce.h"
 #include "stap/schema/single_type.h"
@@ -126,7 +126,8 @@ TEST(EdgeCaseTest, WideDocuments) {
   wide.children.assign(50000, Tree(xsd.sigma.Find("a")));
   EXPECT_TRUE(xsd.Accepts(wide));
   EXPECT_TRUE(ValidateStreaming(xsd, wide));
-  EXPECT_GT(CountDocuments(xsd, 2, 50), 50.0);
+  EXPECT_GT(CountXsdByDepth(xsd, {2, 50}, nullptr)->back().ToDouble(),
+            50.0);
 }
 
 TEST(EdgeCaseTest, SharedLabelsAcrossManyContexts) {

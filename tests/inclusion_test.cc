@@ -125,7 +125,7 @@ TEST_P(InclusionAgreementTest, AgreesWithExactDecision) {
   Edtd right = RandomStEdtd(&rng, params);
   auto [l, r] = AlignAlphabets(left, right);
   bool ptime = IncludedInSingleType(l, r);
-  bool exact = EdtdIncludedInExact(ReduceEdtd(l), ReduceEdtd(r));
+  bool exact = *EdtdIncludedInExact(ReduceEdtd(l), ReduceEdtd(r), nullptr);
   EXPECT_EQ(ptime, exact);
 }
 
@@ -138,7 +138,7 @@ INSTANTIATE_TEST_SUITE_P(Seeds, InclusionAgreementTest,
 bool UpperIsFixpoint(const DfaXsd& upper) {
   Edtd upper_edtd = StEdtdFromDfaXsd(upper);
   DfaXsd twice = MinimalUpperApproximation(upper_edtd);
-  return EdtdIncludedInExact(StEdtdFromDfaXsd(twice), upper_edtd);
+  return *EdtdIncludedInExact(StEdtdFromDfaXsd(twice), upper_edtd, nullptr);
 }
 
 // The upper approximation is always a superset (property over random

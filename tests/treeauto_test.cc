@@ -2,9 +2,11 @@
 // flavor), and the exact EXPTIME decision procedures.
 #include <gtest/gtest.h>
 
+#include "stap/approx/upper.h"
 #include "stap/gen/families.h"
 #include "stap/schema/builder.h"
 #include "stap/schema/reduce.h"
+#include "stap/schema/single_type.h"
 #include "stap/tree/enumerate.h"
 #include "stap/treeauto/bta.h"
 #include "stap/treeauto/encoding.h"
@@ -90,12 +92,13 @@ TEST(ExactTest, InclusionAndEquivalence) {
 
   Edtd small = sub.Build();
   Edtd big = super.Build();
-  EXPECT_TRUE(EdtdIncludedInExact(small, big));
-  EXPECT_FALSE(EdtdIncludedInExact(big, small));
-  EXPECT_TRUE(EdtdEquivalentExact(small, small));
-  EXPECT_FALSE(EdtdEquivalentExact(small, big));
+  EXPECT_TRUE(*EdtdIncludedInExact(small, big, nullptr));
+  EXPECT_FALSE(*EdtdIncludedInExact(big, small, nullptr));
+  EXPECT_TRUE(*EdtdEquivalentExact(small, small, nullptr));
+  EXPECT_FALSE(*EdtdEquivalentExact(small, big, nullptr));
 
-  std::optional<Tree> witness = EdtdInclusionCounterexample(big, small);
+  std::optional<Tree> witness =
+      *EdtdInclusionCounterexample(big, small, nullptr);
   ASSERT_TRUE(witness.has_value());
   EXPECT_TRUE(big.Accepts(*witness));
   EXPECT_FALSE(small.Accepts(*witness));
@@ -120,7 +123,7 @@ TEST(ExactTest, NonSingleTypeLanguagesSupported) {
   one.AddType("C", "c", "%");
   one.AddStart("R");
   Edtd merged = one.Build();
-  EXPECT_TRUE(EdtdEquivalentExact(both, merged));
+  EXPECT_TRUE(*EdtdEquivalentExact(both, merged, nullptr));
 }
 
 TEST(ExactTest, EmptyLanguageEdgeCases) {
@@ -135,8 +138,36 @@ TEST(ExactTest, EmptyLanguageEdgeCases) {
   Edtd single = leaf.Build();
 
   // Align alphabets (both must speak of 'a').
-  EXPECT_TRUE(EdtdIncludedInExact(empty, single));
-  EXPECT_FALSE(EdtdIncludedInExact(single, empty));
+  EXPECT_TRUE(*EdtdIncludedInExact(empty, single, nullptr));
+  EXPECT_FALSE(*EdtdIncludedInExact(single, empty, nullptr));
+}
+
+// The budget reaches both exponential phases: a state quota one short of
+// the determinization stops it, a quota the determinization fits in stops
+// the product search, and an unlimited budget keeps the verdict.
+TEST(ExactTest, BudgetBoundsDeterminizationAndProductSearch) {
+  Edtd schema = ReduceEdtd(Theorem32Family(3));
+  Edtd upper = StEdtdFromDfaXsd(MinimalUpperApproximation(schema));
+  const int64_t subsets = DeterminizeBta(BtaFromEdtd(schema)).num_states();
+
+  for (int64_t quota : {subsets - 1, subsets + 1}) {
+    Budget budget;
+    budget.set_max_states(quota);
+    StatusOr<bool> included = EdtdIncludedInExact(upper, schema, &budget);
+    ASSERT_FALSE(included.ok()) << "quota " << quota;
+    EXPECT_EQ(included.status().code(), StatusCode::kResourceExhausted);
+  }
+
+  Budget deadline;
+  deadline.set_deadline_ms(0);
+  EXPECT_EQ(EdtdEquivalentExact(upper, schema, &deadline).status().code(),
+            StatusCode::kResourceExhausted);
+
+  Budget unlimited;
+  StatusOr<bool> included = EdtdIncludedInExact(upper, schema, &unlimited);
+  ASSERT_TRUE(included.ok()) << included.status();
+  EXPECT_TRUE(*included);
+  EXPECT_TRUE(*EdtdIncludedInExact(upper, schema, nullptr));
 }
 
 }  // namespace

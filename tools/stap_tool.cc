@@ -1,102 +1,58 @@
 // stap — command-line front end for the library.
 //
-//   stap validate <schema> <doc...>      validate XML documents (the schema
-//                                        may be textual or a compiled
-//                                        artifact; many docs fan out over
-//                                        --jobs=N threads, report in input
-//                                        order)
-//   stap compile <schema> -o <artifact>  compile a schema to a binary
-//                                        artifact for the warm serving path
-//   stap check <schema>                  report schema properties
-//   stap minimize <schema>               canonical minimal XSD
-//   stap approx <schema>                 minimal upper XSD-approximation
-//   stap merge <s1> <s2>                 upper approximation of the union
-//   stap intersect <s1> <s2>             exact intersection
-//   stap diff <s1> <s2>                  upper approximation of s1 \ s2
-//   stap complement <schema>             upper approximation of the complement
-//   stap lower <s1> <s2>                 maximal lower approx of the union
-//                                        containing s1 (Theorem 4.8)
-//   stap included <s1> <s2>              is L(s1) ⊆ L(s2)? (s2 single-type)
-//   stap witness <s1> <s2>               a document in L(s1) \ L(s2)
-//   stap types <schema> <doc.xml>        print the document's typing
-//   stap report <s1> <s2>                full comparison report
-//   stap sample <schema> [count]         sample random documents
-//   stap count <schema> <depth> <width>  count documents within bounds
-//   stap export <schema> [--repair-upa]  write a W3C-style .xsd document
-//   stap import <schema.xsd>             read a W3C-style .xsd document
-//   stap family <name> <n>               generate a paper lower-bound family
-//   stap explain <schema>                approximate and print a per-phase
-//                                        provenance table (sizes, wall ms)
-//   stap serve [flags]                   long-running validation daemon:
-//                                        binary validate/included/approx
-//                                        requests over a length-prefixed
-//                                        socket protocol, plus HTTP
-//                                        /metrics and /healthz; runs until
-//                                        SIGINT/SIGTERM, then drains and
-//                                        exits 0
+// Every command is one row of kCommands: its name, positional synopsis,
+// help line, arity, flags, schema precondition and handler. `stap` with no
+// arguments prints the usage text generated from that table and from
+// kGlobalFlags, the flags every command accepts anywhere on the line.
 //
-// Global flags (accepted anywhere on the command line):
-//   --jobs=N             worker threads for batch validation (0 = one per
-//                        hardware thread; default 1)
-//   --budget-ms=N        wall-clock deadline for the command's kernels
-//   --max-states=N       cap on created automaton/product states
-//   --max-sets=N         cap on frontier/subset sets
-//   --metrics-json[=F]   dump the metrics registry as JSON to file F
-//                        (bare flag or F=- writes to stderr)
-//   --metrics-prom[=F]   dump the metrics registry in Prometheus
-//                        exposition format (bare flag or F=- → stderr)
-//   --trace-json[=F]     record a Chrome trace-event session around the
-//                        command and write it to F (bare/- → stderr);
-//                        load the file in Perfetto or chrome://tracing
-//
-// A command stopped by the budget exits with code 3 (kResourceExhausted)
-// after printing the exhaustion reason; the metrics dump still runs, so
-// the partial work is observable.
-//
-// Schemas use the textual format of schema/text_format.h (docs/FORMAT.md)
-// unless stated otherwise; results are printed in the same format.
+// Exit codes: 0 success or a positive answer, 1 an error or a negative
+// answer, 2 a usage error, 3 an exhausted budget. Schemas use the textual
+// format of schema/text_format.h (docs/FORMAT.md) unless stated otherwise;
+// results are printed in the same format.
 #include <unistd.h>
 
+#include <algorithm>
 #include <cerrno>
 #include <chrono>
 #include <csignal>
 #include <cstdio>
 #include <cstdlib>
-#include <cstring>
 #include <fstream>
 #include <iostream>
+#include <map>
 #include <memory>
+#include <optional>
 #include <random>
 #include <sstream>
 #include <string>
 #include <thread>
 #include <vector>
 
+#include "stap/approx/diff_report.h"
 #include "stap/approx/inclusion.h"
-#include "stap/base/budget.h"
-#include "stap/base/compile_cache.h"
-#include "stap/base/metrics.h"
-#include "stap/io/artifact.h"
-#include "stap/io/batch_validate.h"
-#include "stap/base/trace.h"
-#include "stap/gen/families.h"
 #include "stap/approx/lower_check.h"
 #include "stap/approx/nv.h"
 #include "stap/approx/upper.h"
 #include "stap/approx/upper_boolean.h"
-#include "stap/approx/diff_report.h"
 #include "stap/approx/witness.h"
+#include "stap/base/budget.h"
+#include "stap/base/compile_cache.h"
+#include "stap/base/metrics.h"
+#include "stap/base/trace.h"
+#include "stap/count/counter.h"
+#include "stap/count/measure.h"
+#include "stap/gen/families.h"
 #include "stap/gen/random.h"
+#include "stap/io/artifact.h"
+#include "stap/io/batch_validate.h"
 #include "stap/regex/bkw.h"
 #include "stap/schema/minimize.h"
 #include "stap/schema/reduce.h"
 #include "stap/schema/single_type.h"
-#include "stap/schema/count.h"
-#include "stap/count/measure.h"
 #include "stap/schema/text_format.h"
+#include "stap/schema/type_automaton.h"
 #include "stap/schema/typing.h"
 #include "stap/schema/xsd_io.h"
-#include "stap/schema/type_automaton.h"
 #include "stap/serve/client.h"
 #include "stap/serve/server.h"
 #include "stap/tree/xml.h"
@@ -104,65 +60,95 @@
 namespace stap {
 namespace {
 
-int Usage() {
-  std::cerr
-      << "usage: stap <command> <args>\n"
-         "  validate <schema> <doc...>    validate documents (schema text or\n"
-         "                                compiled artifact; many docs fan\n"
-         "                                out over --jobs=N threads)\n"
-         "  compile <schema> -o <file>    compile a schema to an artifact\n"
-         "  check <schema>                report schema properties\n"
-         "  minimize <schema>             canonical minimal XSD\n"
-         "  approx <schema>               minimal upper XSD-approximation\n"
-         "  merge <s1> <s2>               upper approximation of the union\n"
-         "  intersect <s1> <s2>           exact intersection\n"
-         "  diff <s1> <s2>                upper approximation of s1 \\ s2\n"
-         "  complement <schema>           upper approx of the complement\n"
-         "  lower <s1> <s2>               maximal lower approx of the union\n"
-         "  included <s1> <s2>            L(s1) subset of L(s2)?\n"
-         "  witness <s1> <s2>             a document in L(s1) \\ L(s2)\n"
-         "  types <schema> <doc.xml>      print the document's typing\n"
-         "  report <s1> <s2>              full comparison report\n"
-         "  sample <schema> [count]       sample random documents\n"
-         "  count <schema> <depth> <w>    count documents within bounds\n"
-         "  measure <schema> [flags]      tree-counting precision report:\n"
-         "                                exact |L(S)|, |L(upper)\\L(S)|,\n"
-         "                                |L(S)\\L(lower)| per depth; flags:\n"
-         "                                --upper --lower --both (default)\n"
-         "                                --depth=D --width=W --json\n"
-         "  export <schema> [--repair-upa]  write a W3C-style .xsd\n"
-         "  import <schema.xsd>           read a W3C-style .xsd\n"
-         "  family <name> <n>             generate a lower-bound family\n"
-         "                                (theorem32, theorem36a/b,\n"
-         "                                theorem38a/b, theorem43a/b,\n"
-         "                                theorem411, counted;\n"
-         "                                43/411 ignore n, counted uses\n"
-         "                                Item{n,2n})\n"
-         "  explain <schema>              approximate and print a per-phase\n"
-         "                                provenance table\n"
-         "          [--schema-guided]     run content merges through the\n"
-         "                                schema-guided determinizer and\n"
-         "                                report pruning counters\n"
-         "  serve [flags]                 validation daemon; flags:\n"
-         "                                --port=N (0 = ephemeral)\n"
-         "                                --schemas=DIR (*.stapc/*.stap)\n"
-         "                                --max-connections=N\n"
-         "                                --max-inflight=N\n"
-         "                                --request-budget-ms=N\n"
-         "                                --request-max-states=N\n"
-         "                                --request-max-sets=N\n"
-         "                                --access-log=FILE (JSONL)\n"
-         "                                --slow-ms=N (slow-request capture)\n"
-         "                                --log-ring=N --slow-ring=N\n"
-         "  top --port=N [--host=H]       live one-screen view of a serve\n"
-         "      [--interval-ms=N]         daemon (/statusz + /metrics):\n"
-         "      [--count=N]               qps, p50/p99, error rates, cache\n"
-         "global flags: --jobs=N --budget-ms=N --max-states=N --max-sets=N\n"
-         "              --metrics-json[=file] --metrics-prom[=file]\n"
-         "              --trace-json[=file]  (exit 3 = budget exhausted)\n"
-         "schema arguments accept the textual format (docs/FORMAT.md) or a\n"
-         "W3C .xsd document (auto-detected by a leading '<')\n";
-  return 2;
+enum class FlagKind {
+  kSwitch,        // --json
+  kInt,           // --port=N, checked against [min, max]
+  kText,          // --host=H; a single-dash flag takes the next argument
+  kOptionalText,  // --metrics-json[=F]
+};
+using enum FlagKind;
+
+struct Flag {
+  const char* name;
+  FlagKind kind;
+  const char* value;  // placeholder printed by Usage(), e.g. "N" or "FILE"
+  const char* help;
+  int64_t min = 0;
+  int64_t max = 0;
+  // Names what a data-bounding flag bounds (measure's --depth): a bad value
+  // is then an invalid argument (exit 1), not a usage error (exit 2).
+  const char* bound = nullptr;
+  bool required = false;
+};
+
+const std::vector<Flag> kGlobalFlags = {
+    {"--jobs", kInt, "N", "validation threads (0 = one per core)", 0, 1024},
+    {"--budget-ms", kInt, "N", "kernel deadline", 0, Budget::kUnlimited},
+    {"--max-states", kInt, "N", "created-state cap", 0, Budget::kUnlimited},
+    {"--max-sets", kInt, "N", "frontier/subset-set cap", 0, Budget::kUnlimited},
+    {"--metrics-json", kOptionalText, "F", "metrics as JSON (bare/-: stderr)"},
+    {"--metrics-prom", kOptionalText, "F", "metrics as Prometheus text"},
+    {"--trace-json", kOptionalText, "F", "Chrome trace of the command"},
+};
+
+// Checked decimal parse for integer flags and positional counts: garbage,
+// trailing junk and out-of-range values are errors, never silently 0.
+StatusOr<int64_t> CheckedInt(const std::string& text, const std::string& what,
+                             int64_t min, int64_t max) {
+  char* end = nullptr;
+  errno = 0;
+  const long long parsed = std::strtoll(text.c_str(), &end, 10);
+  if (end == text.c_str() || *end != '\0' || errno == ERANGE ||
+      parsed < min || parsed > max) {
+    return InvalidArgumentError("invalid " + what + " '" + text +
+                                "' (expected an integer in [" +
+                                std::to_string(min) + ", " +
+                                std::to_string(max) + "])");
+  }
+  return static_cast<int64_t>(parsed);
+}
+
+struct Command;
+
+// Everything a handler receives: its positional arguments, the flags given
+// (global and per-command), the schemas the precondition step loaded, and
+// the global budget to pass to every kernel that accepts one.
+struct Invocation {
+  const Command* command = nullptr;
+  std::vector<std::string> args;  // positional arguments after the command
+  std::map<std::string, std::string> flags;  // flag name -> value text
+  std::vector<Edtd> schemas;
+  std::optional<Budget> owned_budget;
+  Budget* budget = nullptr;  // null = unlimited
+  // Session wrapping the whole command when --trace-json is given; also
+  // borrowed by `explain` for its phase table so one recording serves both.
+  std::unique_ptr<TraceSession> session;
+  // Registry value at session start, so `explain` can cross-check span
+  // sums against counter deltas over the exact recording window.
+  int64_t states_at_trace_start = 0;
+
+  bool Has(const std::string& flag) const { return flags.count(flag) > 0; }
+  // An integer flag's value (already checked by the parser) or `fallback`.
+  int64_t Int(const std::string& flag, int64_t fallback) const {
+    return Has(flag) ? std::strtoll(flags.at(flag).c_str(), nullptr, 10)
+                     : fallback;
+  }
+  std::string Text(const std::string& flag, std::string fallback = "") const {
+    return Has(flag) ? flags.at(flag) : fallback;
+  }
+  // Positional argument `index` as a checked integer, or `fallback`.
+  StatusOr<int64_t> Count(size_t index, const char* what, int64_t min,
+                          int64_t max, int64_t fallback = 0) const {
+    if (index >= args.size()) return fallback;
+    return CheckedInt(args[index], what, min, max);
+  }
+};
+
+int Fail(const Status& status) {
+  std::cerr << "error: " << status << "\n";
+  // Budget exhaustion is an expected, recoverable outcome (retry with a
+  // larger budget); give it a distinct exit code scripts can branch on.
+  return status.code() == StatusCode::kResourceExhausted ? 3 : 1;
 }
 
 StatusOr<std::string> ReadFile(const std::string& path) {
@@ -173,346 +159,298 @@ StatusOr<std::string> ReadFile(const std::string& path) {
   return buffer.str();
 }
 
-// Loads a schema source for the analysis commands: a W3C XSD document
-// (sniffed via LooksLikeXml) goes through the XSD importer, anything else
-// through the textual-format parser. Content-model compilation — including
-// counted-repetition expansion — is charged against `budget` when set.
-StatusOr<Edtd> LoadSchema(const std::string& path, Budget* budget = nullptr) {
-  StatusOr<std::string> text = ReadFile(path);
-  if (!text.ok()) return text.status();
-  if (LooksLikeXml(*text)) return ImportXsd(*text, budget);
-  return ParseSchema(*text, /*cache=*/nullptr, budget);
-}
-
-int Fail(const Status& status) {
-  std::cerr << "error: " << status << "\n";
-  // Budget exhaustion is an expected, recoverable outcome (retry with a
-  // larger budget); give it a distinct exit code scripts can branch on.
-  return status.code() == StatusCode::kResourceExhausted ? 3 : 1;
-}
-
-// Global flags shared by every command.
-struct GlobalOptions {
-  std::unique_ptr<Budget> budget;  // null = unlimited
-  bool dump_metrics = false;
-  std::string metrics_path;  // empty or "-" = stderr
-  bool dump_prom = false;
-  std::string prom_path;  // empty or "-" = stderr
-  bool trace = false;
-  std::string trace_path;  // empty or "-" = stderr
-  // --jobs=N worker threads for batch validation; -1 = unset (serial,
-  // single-document compatibility mode), 0 = one per hardware thread.
-  int jobs = -1;
-  // Session wrapping the whole command when --trace-json is given; also
-  // borrowed by `explain` for its phase table so one recording serves both.
-  std::unique_ptr<TraceSession> session;
-  // Registry value at session start, so `explain` can cross-check span
-  // sums against counter deltas over the exact recording window.
-  int64_t states_at_trace_start = 0;
-
-  Budget* budget_ptr() const { return budget.get(); }
+// What the precondition step makes of one schema argument.
+enum class Need {
+  kLoaded,      // the schema as written
+  kReduced,     // the reduced schema
+  kSingleType,  // the reduced schema, which must be single-type
 };
+using enum Need;
 
-// Extracts the global --budget-ms/--max-states/--max-sets/--metrics-json/
-// --metrics-prom/--trace-json flags from anywhere on the command line;
-// everything else passes through in order. Returns false on a malformed
-// flag value. (Keep this list in sync with Usage() and the file header.)
-bool ParseGlobalFlags(int argc, char** argv, std::vector<std::string>* args,
-                      GlobalOptions* options) {
-  auto budget = [&]() -> Budget* {
-    if (options->budget == nullptr) options->budget = std::make_unique<Budget>();
-    return options->budget.get();
-  };
-  auto int_value = [](const std::string& text, int64_t* out) {
-    char* end = nullptr;
-    long long parsed = std::strtoll(text.c_str(), &end, 10);
-    if (end == text.c_str() || *end != '\0' || parsed < 0) return false;
-    *out = parsed;
-    return true;
-  };
-  for (int i = 1; i < argc; ++i) {
-    std::string arg = argv[i];
-    int64_t value = 0;
-    if (arg.rfind("--budget-ms=", 0) == 0) {
-      if (!int_value(arg.substr(12), &value)) return false;
-      budget()->set_deadline_ms(value);
-    } else if (arg.rfind("--max-states=", 0) == 0) {
-      if (!int_value(arg.substr(13), &value)) return false;
-      budget()->set_max_states(value);
-    } else if (arg.rfind("--max-sets=", 0) == 0) {
-      if (!int_value(arg.substr(11), &value)) return false;
-      budget()->set_max_sets(value);
-    } else if (arg.rfind("--jobs=", 0) == 0) {
-      if (!int_value(arg.substr(7), &value) || value > 1024) return false;
-      options->jobs = static_cast<int>(value);
-    } else if (arg == "--metrics-json") {
-      options->dump_metrics = true;
-    } else if (arg.rfind("--metrics-json=", 0) == 0) {
-      options->dump_metrics = true;
-      options->metrics_path = arg.substr(15);
-    } else if (arg == "--metrics-prom") {
-      options->dump_prom = true;
-    } else if (arg.rfind("--metrics-prom=", 0) == 0) {
-      options->dump_prom = true;
-      options->prom_path = arg.substr(15);
-    } else if (arg == "--trace-json") {
-      options->trace = true;
-    } else if (arg.rfind("--trace-json=", 0) == 0) {
-      options->trace = true;
-      options->trace_path = arg.substr(13);
-    } else {
-      args->push_back(std::move(arg));
+// The precondition step: loads the command's leading schema arguments into
+// in->schemas, one per entry of `needs`, reducing and checking each as its
+// entry asks. A W3C XSD document (sniffed via LooksLikeXml) goes through
+// the XSD importer, anything else through the textual-format parser; both
+// charge content-model compilation, counted repetitions included, against
+// the budget.
+Status LoadSchemas(const std::vector<Need>& needs, Invocation* in) {
+  for (size_t i = 0; i < needs.size(); ++i) {
+    const std::string& path = in->args[i];
+    StatusOr<std::string> text = ReadFile(path);
+    if (!text.ok()) return text.status();
+    StatusOr<Edtd> schema = LooksLikeXml(*text)
+                                ? ImportXsd(*text, in->budget)
+                                : ParseSchema(*text, nullptr, in->budget);
+    if (!schema.ok()) return schema.status();
+    if (needs[i] == kLoaded) {
+      in->schemas.push_back(*std::move(schema));
+      continue;
     }
+    Edtd reduced = ReduceEdtd(*schema);
+    if (needs[i] == kSingleType && !IsSingleType(reduced)) {
+      return InvalidArgumentError(
+          "'" + path + "' is not single-type; run 'approx' on it first");
+    }
+    in->schemas.push_back(std::move(reduced));
   }
-  return true;
-}
-
-// Checked decimal parse for positional counts (sample count, count
-// bounds, family size), mirroring the global-flag parser: garbage,
-// trailing junk, and out-of-range values are reported as errors instead
-// of silently becoming 0 the way std::atoi made them.
-bool ParseCount(const std::string& text, int64_t min_value, int64_t max_value,
-                int* out) {
-  char* end = nullptr;
-  errno = 0;
-  long long parsed = std::strtoll(text.c_str(), &end, 10);
-  if (end == text.c_str() || *end != '\0' || errno == ERANGE ||
-      parsed < min_value || parsed > max_value) {
-    return false;
-  }
-  *out = static_cast<int>(parsed);
-  return true;
-}
-
-int BadCount(const std::string& what, const std::string& text,
-             int64_t min_value, int64_t max_value) {
-  return Fail(InvalidArgumentError(
-      "invalid " + what + " '" + text + "' (expected an integer in [" +
-      std::to_string(min_value) + ", " + std::to_string(max_value) + "])"));
+  return Status();
 }
 
 // Writes `text` to `path` ("" or "-" = stderr). Returns the exit code,
-// degraded to 1 on a write failure that would otherwise be reported as
-// success.
+// degraded to 1 on a write failure that would otherwise pass as success.
 int WriteDump(const std::string& text, const std::string& path,
-              const char* what, int exit_code) {
+              int exit_code) {
   if (path.empty() || path == "-") {
     std::cerr << text << "\n";
     return exit_code;
   }
   std::ofstream out(path);
-  if (!out) {
-    std::cerr << "error: cannot write " << what << " to '" << path << "'\n";
+  if (!(out << text << "\n")) {
+    std::cerr << "error: cannot write '" << path << "'\n";
     return exit_code == 0 ? 1 : exit_code;
   }
-  out << text << "\n";
   return exit_code;
 }
 
-// Writes the metrics registry to the configured sinks. Runs after the
-// command body whatever its outcome, so budget-exhausted runs still
-// report how far they got.
-int DumpMetrics(const GlobalOptions& options, int exit_code) {
-  if (options.dump_metrics) {
-    exit_code = WriteDump(MetricsRegistry::Global()->ToJson(),
-                          options.metrics_path, "metrics", exit_code);
-  }
-  if (options.dump_prom) {
-    exit_code = WriteDump(MetricsRegistry::Global()->ToPrometheusText(),
-                          options.prom_path, "metrics", exit_code);
-  }
-  return exit_code;
-}
-
-// Stops the --trace-json session (if any) and writes the Chrome trace.
-int DumpTrace(GlobalOptions& options, int exit_code) {
-  if (options.session == nullptr) return exit_code;
-  options.session->Stop();
-  return WriteDump(options.session->ToChromeJson(), options.trace_path,
-                   "trace", exit_code);
-}
-
-// Loads a schema for the validation path: a compiled artifact is
-// deserialized as-is; textual schemas compile through the process-wide
-// content-model cache (so repeated invocations in one process — and the
-// batch tests — share compilations).
-StatusOr<CompiledSchema> LoadCompiledSchema(const std::string& path,
-                                            Budget* budget = nullptr) {
-  StatusOr<std::string> bytes = ReadFile(path);
-  if (!bytes.ok()) return bytes.status();
-  if (LooksLikeArtifact(*bytes)) return DeserializeArtifact(*bytes);
-  return CompileSchema(*bytes, CompileCache::Global(), budget);
-}
-
-int CmdCompile(const std::vector<std::string>& argv, Budget* budget) {
-  // compile <schema> -o <artifact>
-  if (argv.size() != 5 || argv[3] != "-o") return Usage();
-  StatusOr<std::string> text = ReadFile(argv[2]);
+int CmdCompile(Invocation& in) {
+  const std::string& source = in.args[0];
+  const std::string target = in.Text("-o");
+  StatusOr<std::string> text = ReadFile(source);
   if (!text.ok()) return Fail(text.status());
   if (LooksLikeArtifact(*text)) {
-    return Fail(InvalidArgumentError("'" + argv[2] +
+    return Fail(InvalidArgumentError("'" + source +
                                      "' is already a compiled artifact"));
   }
   StatusOr<CompiledSchema> schema =
-      CompileSchema(*text, CompileCache::Global(), budget);
+      CompileSchema(*text, CompileCache::Global(), in.budget);
   if (!schema.ok()) return Fail(schema.status());
   const std::string bytes = SerializeArtifact(*schema);
-  std::ofstream out(argv[4], std::ios::binary);
+  std::ofstream out(target, std::ios::binary);
   if (!out || !(out << bytes) || !out.flush()) {
-    return Fail(InternalError("cannot write artifact to '" + argv[4] + "'"));
+    return Fail(InternalError("cannot write artifact to '" + target + "'"));
   }
-  std::cout << "compiled " << argv[2] << ": " << schema->edtd.num_types()
+  std::cout << "compiled " << source << ": " << schema->edtd.num_types()
             << " types, single-type "
             << (schema->single_type ? "yes" : "no") << ", " << bytes.size()
-            << " bytes -> " << argv[4] << "\n";
+            << " bytes -> " << target << "\n";
   return 0;
 }
 
-// Single-document validation, output-compatible with the historical
-// `stap validate <schema> <doc.xml>`: the batch path's ValidateDocument,
-// so the global budget flags apply here too.
-int ValidateSingle(const CompiledSchema& schema, const std::string& doc_path,
-                   Budget* budget) {
-  StatusOr<std::string> xml = ReadFile(doc_path);
-  if (!xml.ok()) return Fail(xml.status());
-  DocumentVerdict verdict = ValidateDocument(schema, *xml, budget);
-  if (verdict.kind == DocumentVerdict::Kind::kError) {
-    return Fail(Status(verdict.error_code, verdict.message));
-  }
-  if (verdict.kind == DocumentVerdict::Kind::kInvalid) {
-    std::cout << "INVALID: " << verdict.message << "\n";
-    return 1;
-  }
-  std::cout << "VALID\n";
-  return 0;
-}
-
-int CmdValidate(const std::vector<std::string>& argv,
-                const GlobalOptions& options) {
+// The schema is a compiled artifact (deserialized as is) or schema text,
+// compiled through the process-wide content-model cache.
+int CmdValidate(Invocation& in) {
+  StatusOr<std::string> bytes = ReadFile(in.args[0]);
+  if (!bytes.ok()) return Fail(bytes.status());
   StatusOr<CompiledSchema> schema =
-      LoadCompiledSchema(argv[2], options.budget_ptr());
+      LooksLikeArtifact(*bytes)
+          ? DeserializeArtifact(*bytes)
+          : CompileSchema(*bytes, CompileCache::Global(), in.budget);
   if (!schema.ok()) return Fail(schema.status());
-  if (argv.size() == 4 && options.jobs < 0) {
-    return ValidateSingle(*schema, argv[3], options.budget_ptr());
+  // One document without --jobs keeps the single-document output format.
+  if (in.args.size() == 2 && !in.Has("--jobs")) {
+    StatusOr<std::string> xml = ReadFile(in.args[1]);
+    if (!xml.ok()) return Fail(xml.status());
+    DocumentVerdict verdict = ValidateDocument(*schema, *xml, in.budget);
+    if (verdict.kind == DocumentVerdict::Kind::kError) {
+      return Fail(Status(verdict.error_code, verdict.message));
+    }
+    const bool valid = verdict.kind == DocumentVerdict::Kind::kValid;
+    std::cout << (valid ? "VALID\n" : "INVALID: " + verdict.message + "\n");
+    return valid ? 0 : 1;
   }
   // Batch mode: one status line per document, in input order, plus a
   // summary — byte-identical output whatever the job count.
-  std::vector<BatchDocument> documents;
-  documents.reserve(argv.size() - 3);
-  for (size_t i = 3; i < argv.size(); ++i) {
-    BatchDocument doc;
-    doc.name = argv[i];
-    StatusOr<std::string> xml = ReadFile(argv[i]);
+  std::vector<BatchDocument> documents(in.args.size() - 1);
+  for (size_t i = 0; i < documents.size(); ++i) {
+    documents[i].name = in.args[i + 1];
+    StatusOr<std::string> xml = ReadFile(documents[i].name);
+    // An unreadable file is a per-document ERROR line, not a batch failure.
     if (xml.ok()) {
-      doc.xml = std::move(*xml);
+      documents[i].xml = *std::move(xml);
     } else {
-      // An unreadable file surfaces as a per-document ERROR line, not a
-      // whole-batch failure.
-      doc.read_error = xml.status().message();
+      documents[i].read_error = xml.status().message();
     }
-    documents.push_back(std::move(doc));
   }
   BatchOptions batch_options;
-  batch_options.jobs = options.jobs < 0 ? 1 : options.jobs;
-  batch_options.budget = options.budget_ptr();
+  batch_options.jobs = static_cast<int>(in.Int("--jobs", 1));
+  batch_options.budget = in.budget;
   BatchResult result = BatchValidate(*schema, documents, batch_options);
   std::cout << FormatBatchReport(documents, result);
   return result.all_valid() ? 0 : 1;
 }
 
-int CmdCheck(const std::string& schema_path, Budget* budget) {
-  StatusOr<Edtd> schema = LoadSchema(schema_path, budget);
-  if (!schema.ok()) return Fail(schema.status());
-  Edtd reduced = ReduceEdtd(*schema);
-  std::cout << "types (declared):  " << schema->num_types() << "\n"
+int CmdCheck(Invocation& in) {
+  const Edtd& schema = in.schemas[0];
+  Edtd reduced = ReduceEdtd(schema);
+  std::cout << "types (declared):  " << schema.num_types() << "\n"
             << "types (reduced):   " << reduced.num_types() << "\n"
             << "alphabet:          " << reduced.sigma.size() << " elements\n"
             << "empty language:    "
             << (reduced.num_types() == 0 ? "yes" : "no") << "\n"
             << "single-type (EDC): "
-            << (IsSingleType(reduced) ? "yes" : "no") << "\n"
-            << "single-type definable: "
-            << (IsSingleTypeDefinable(reduced) ? "yes" : "no") << "\n";
+            << (IsSingleType(reduced) ? "yes" : "no") << "\n";
+  StatusOr<bool> definable = IsSingleTypeDefinable(reduced, in.budget);
+  if (!definable.ok()) return Fail(definable.status());
+  std::cout << "single-type definable: " << (*definable ? "yes" : "no")
+            << "\n";
   // UPA (Section 5): is every content model a one-unambiguous language?
   bool upa = true;
   for (int tau = 0; tau < reduced.num_types() && upa; ++tau) {
-    upa = IsOneUnambiguousLanguage(reduced.content[tau]);
+    StatusOr<bool> one =
+        IsOneUnambiguousLanguage(reduced.content[tau], in.budget);
+    if (!one.ok()) return Fail(one.status());
+    upa = *one;
   }
   std::cout << "UPA-expressible content models: " << (upa ? "yes" : "no")
             << "\n";
   return 0;
 }
 
-int PrintXsd(const DfaXsd& xsd) {
-  std::cout << SchemaToText(StEdtdFromDfaXsd(MinimizeXsd(xsd)));
+// Prints the canonical minimal form of a construction's result.
+int PrintXsd(const Invocation& in, const StatusOr<DfaXsd>& xsd) {
+  if (!xsd.ok()) return Fail(xsd.status());
+  StatusOr<DfaXsd> minimized = MinimizeXsd(*xsd, in.budget);
+  if (!minimized.ok()) return Fail(minimized.status());
+  std::cout << SchemaToText(StEdtdFromDfaXsd(*minimized));
   return 0;
 }
 
-int CmdSample(const std::string& schema_path, int count, Budget* budget) {
-  StatusOr<Edtd> schema = LoadSchema(schema_path, budget);
-  if (!schema.ok()) return Fail(schema.status());
-  Edtd reduced = ReduceEdtd(*schema);
-  if (reduced.num_types() == 0) return Fail(InvalidArgumentError(
-      "schema language is empty"));
-  if (!IsSingleType(reduced)) {
-    return Fail(UnimplementedError(
-        "sampling requires a single-type schema; run 'approx' first"));
+int CmdIncluded(Invocation& in) {
+  StatusOr<bool> included =
+      IncludedInSingleType(in.schemas[0], in.schemas[1], nullptr, in.budget);
+  if (!included.ok()) return Fail(included.status());
+  std::cout << (*included ? "INCLUDED\n" : "NOT INCLUDED\n");
+  return *included ? 0 : 1;
+}
+
+int CmdWitness(Invocation& in) {
+  const Edtd& d1 = in.schemas[0];
+  const DfaXsd xsd2 = DfaXsdFromStEdtd(in.schemas[1]);
+  std::optional<Tree> witness = XsdInclusionWitness(d1, xsd2);
+  if (!witness.has_value()) {
+    std::cout << "INCLUDED (no witness)\n";
+    return 0;
   }
-  DfaXsd xsd = DfaXsdFromStEdtd(reduced);
+  // Render over the merged alphabet the witness was built with.
+  Alphabet merged = xsd2.sigma;
+  for (int a = 0; a < d1.sigma.size(); ++a) merged.Intern(d1.sigma.Name(a));
+  std::cout << ToXml(*witness, merged);
+  return 1;
+}
+
+int CmdTypes(Invocation& in) {
+  const Edtd& reduced = in.schemas[0];
+  StatusOr<std::string> xml = ReadFile(in.args[1]);
+  if (!xml.ok()) return Fail(xml.status());
+  Alphabet alphabet = reduced.sigma;
+  StatusOr<Tree> document = ParseXml(*xml, &alphabet);
+  if (!document.ok()) return Fail(document.status());
+  if (alphabet.size() != reduced.sigma.size()) {
+    std::cout << "NO TYPING (undeclared elements)\n";
+    return 1;
+  }
+  std::optional<Typing> typing = AssignTypesEdtd(reduced, *document);
+  if (!typing.has_value()) {
+    std::cout << "NO TYPING (document invalid)\n";
+    return 1;
+  }
+  std::cout << typing->ToString(reduced, *document);
+  if (const int64_t count = CountTypings(reduced, *document); count > 1) {
+    std::cout << "(ambiguous: " << count << " distinct typings)\n";
+  }
+  return 0;
+}
+
+int CmdSample(Invocation& in) {
+  StatusOr<int64_t> count = in.Count(1, "sample count", 1, 1000000, 1);
+  if (!count.ok()) return Fail(count.status());
+  if (in.schemas[0].num_types() == 0) {
+    return Fail(InvalidArgumentError("schema language is empty"));
+  }
+  DfaXsd xsd = DfaXsdFromStEdtd(in.schemas[0]);
   std::random_device device;
   std::mt19937 rng(device());
-  for (int i = 0; i < count; ++i) {
+  for (int64_t i = 0; i < *count; ++i) {
     std::optional<Tree> tree = SampleTree(xsd, &rng, 6);
     if (!tree.has_value()) break;
     std::cout << ToXml(*tree, xsd.sigma);
-    if (i + 1 < count) std::cout << "<!-- -->\n";
+    if (i + 1 < *count) std::cout << "<!-- -->\n";
   }
   return 0;
 }
 
-// `stap measure <schema> [--upper|--lower|--both] [--depth=D] [--width=W]
-// [--json]`: exact precision analytics. Counts |L(S)|, |L(upper)|, and
-// |L(lower)| by depth with the counting DP, plus the pairwise
-// intersections, and reports the gained/lost document counts and the
-// precision/recall ratios. Budget exhaustion surfaces as exit 3 via Fail.
-int CmdMeasure(const std::vector<std::string>& args, Budget* budget) {
+int CmdCount(Invocation& in) {
+  StatusOr<int64_t> depth = in.Count(1, "depth bound", 1, 1000000);
+  if (!depth.ok()) return Fail(depth.status());
+  StatusOr<int64_t> width = in.Count(2, "width bound", 0, 1000000);
+  if (!width.ok()) return Fail(width.status());
+  const CountBounds bounds{static_cast<int>(*depth), static_cast<int>(*width)};
+  StatusOr<std::vector<CountValue>> counts =
+      CountXsdByDepth(DfaXsdFromStEdtd(in.schemas[0]), bounds, in.budget);
+  if (!counts.ok()) return Fail(counts.status());
+  std::cout << counts->back().ToDouble() << "\n";
+  return 0;
+}
+
+// Exact precision analytics (count/measure.h): |L(S)|, |L(upper)| and
+// |L(lower)| by depth, the gained/lost documents and precision/recall. No
+// side flag means both sides.
+int CmdMeasure(Invocation& in) {
   MeasureOptions options;
-  bool json = false;
-  bool side_chosen = false;
-  for (size_t i = 3; i < args.size(); ++i) {
-    const std::string& flag = args[i];
-    if (flag == "--upper") {
-      options.upper = true;
-      options.lower = side_chosen && options.lower;
-      side_chosen = true;
-    } else if (flag == "--lower") {
-      options.lower = true;
-      options.upper = side_chosen && options.upper;
-      side_chosen = true;
-    } else if (flag == "--both") {
-      options.upper = true;
-      options.lower = true;
-      side_chosen = true;
-    } else if (flag == "--json") {
-      json = true;
-    } else if (flag.rfind("--depth=", 0) == 0) {
-      if (!ParseCount(flag.substr(8), 1, 64, &options.bounds.max_depth)) {
-        return BadCount("depth bound", flag.substr(8), 1, 64);
-      }
-    } else if (flag.rfind("--width=", 0) == 0) {
-      if (!ParseCount(flag.substr(8), 0, 64, &options.bounds.max_width)) {
-        return BadCount("width bound", flag.substr(8), 0, 64);
-      }
-    } else {
-      return Usage();
-    }
-  }
-  StatusOr<Edtd> schema = LoadSchema(args[2], budget);
-  if (!schema.ok()) return Fail(schema.status());
-  StatusOr<MeasureResult> result = MeasureSchema(*schema, options, budget);
+  const bool both =
+      in.Has("--both") || !(in.Has("--upper") || in.Has("--lower"));
+  options.upper = both || in.Has("--upper");
+  options.lower = both || in.Has("--lower");
+  options.bounds.max_depth = in.Int("--depth", options.bounds.max_depth);
+  options.bounds.max_width = in.Int("--width", options.bounds.max_width);
+  StatusOr<MeasureResult> result =
+      MeasureSchema(in.schemas[0], options, in.budget);
   if (!result.ok()) return Fail(result.status());
-  std::cout << (json ? result->ToJson() : result->ToText());
-  if (json) std::cout << "\n";
+  std::cout << (in.Has("--json") ? result->ToJson() + "\n" : result->ToText());
+  return 0;
+}
+
+int CmdExport(Invocation& in) {
+  XsdExportOptions options;
+  options.repair_upa = in.Has("--repair-upa");
+  StatusOr<DfaXsd> minimized =
+      MinimizeXsd(DfaXsdFromStEdtd(in.schemas[0]), in.budget);
+  if (!minimized.ok()) return Fail(minimized.status());
+  std::cout << ExportXsd(*minimized, options);
+  return 0;
+}
+
+int CmdImport(Invocation& in) {
+  StatusOr<std::string> xml = ReadFile(in.args[0]);
+  if (!xml.ok()) return Fail(xml.status());
+  StatusOr<Edtd> schema = ImportXsd(*xml, in.budget);
+  if (!schema.ok()) return Fail(schema.status());
+  std::cout << SchemaToText(ReduceEdtd(*schema));
+  return 0;
+}
+
+// The paper's lower-bound families. The pair-valued families expose each
+// member under an a/b suffix so the result is always a single schema.
+const std::map<std::string, Edtd (*)(int n)> kFamilies = {
+    {"theorem32", [](int n) { return Theorem32Family(n); }},
+    {"theorem36a", [](int n) { return Theorem36Family(n).first; }},
+    {"theorem36b", [](int n) { return Theorem36Family(n).second; }},
+    {"theorem38a", [](int n) { return Theorem38Family(n).first; }},
+    {"theorem38b", [](int n) { return Theorem38Family(n).second; }},
+    {"theorem43a", [](int) { return Theorem43Schemas().first; }},
+    {"theorem43b", [](int) { return Theorem43Schemas().second; }},
+    {"theorem411", [](int) { return Theorem411Dtd(); }},
+    {"counted", [](int n) { return CountedFamily(n, 2 * n); }},
+};
+
+int CmdFamily(Invocation& in) {
+  StatusOr<int64_t> n = in.Count(1, "family size", 1, 1000000, 1);
+  if (!n.ok()) return Fail(n.status());
+  auto family = kFamilies.find(in.args[0]);
+  if (family == kFamilies.end()) {
+    return Fail(InvalidArgumentError("unknown family '" + in.args[0] + "'"));
+  }
+  std::cout << SchemaToText(family->second(static_cast<int>(*n)));
   return 0;
 }
 
@@ -521,11 +459,8 @@ int CmdMeasure(const std::vector<std::string>& args, Budget* budget) {
 // time, and the size counters its spans recorded. Reuses the global
 // --trace-json session when one is active so the same recording also lands
 // in the Chrome trace; otherwise records into a throwaway local session.
-int CmdExplain(const std::string& schema_path, bool schema_guided,
-               GlobalOptions& options) {
-  StatusOr<Edtd> schema = LoadSchema(schema_path, options.budget_ptr());
-  if (!schema.ok()) return Fail(schema.status());
-
+int CmdExplain(Invocation& in) {
+  const Edtd& schema = in.schemas[0];
   Counter* const determinize_states = GetCounter("determinize.states_created");
   Counter* const schema_calls = GetCounter("determinize.schema_calls");
   Counter* const pruned_states =
@@ -536,10 +471,10 @@ int CmdExplain(const std::string& schema_path, bool schema_guided,
   const int64_t pruned_states_before = pruned_states->value();
   const int64_t pruned_transitions_before = pruned_transitions->value();
   TraceSession local;
-  TraceSession* session = options.session.get();
+  TraceSession* session = in.session.get();
   // The registry delta is measured over the recording window, so it is
   // comparable to the span sums whichever session records.
-  int64_t states_before = options.states_at_trace_start;
+  int64_t states_before = in.states_at_trace_start;
   if (session == nullptr) {
     states_before = determinize_states->value();
     session = &local;
@@ -552,12 +487,12 @@ int CmdExplain(const std::string& schema_path, bool schema_guided,
   // schema-guided path on real schemas, not to change the answer.
   UpperOptions upper_options;
   Nfa content_context(0, 0);
-  if (schema_guided) {
-    content_context = ContentUnionContext(*schema);
+  if (in.Has("--schema-guided")) {
+    content_context = ContentUnionContext(schema);
     upper_options.content_context = &content_context;
   }
   StatusOr<DfaXsd> xsd =
-      MinimalUpperApproximation(*schema, options.budget_ptr(), upper_options);
+      MinimalUpperApproximation(schema, in.budget, upper_options);
   if (session == &local) local.Stop();
   // The phase table is printed even when the budget ran out: seeing where
   // the states went is most valuable exactly then.
@@ -605,69 +540,25 @@ extern "C" void ServeSignalHandler(int /*signum*/) {
   [[maybe_unused]] ssize_t ignored = ::write(g_shutdown_pipe[1], &byte, 1);
 }
 
-// serve [--port=N] [--schemas=DIR] [--max-connections=N] [--max-inflight=N]
-//       [--request-budget-ms=N] [--request-max-states=N]
-//       [--request-max-sets=N] [--access-log=FILE] [--slow-ms=N]
-//       [--log-ring=N] [--slow-ring=N]
 // Prints the bound address ("serving on HOST:PORT") once ready, then runs
-// until SIGINT/SIGTERM, drains connections, and exits 0. --access-log
-// appends one JSONL record per request; requests slower than --slow-ms
-// keep their span tree for /requestz (ring sizes via --log-ring /
-// --slow-ring).
-int CmdServe(const std::vector<std::string>& argv) {
+// until SIGINT/SIGTERM, drains connections, and exits 0.
+int CmdServe(Invocation& in) {
   ServeOptions options;
-  for (size_t i = 2; i < argv.size(); ++i) {
-    const std::string& arg = argv[i];
-    auto flag_value = [&](const char* prefix, int64_t min_value,
-                          int64_t max_value, int64_t* out) {
-      const std::string text = arg.substr(std::strlen(prefix));
-      int value = 0;
-      if (!ParseCount(text, min_value, max_value, &value)) return false;
-      *out = value;
-      return true;
-    };
-    int64_t value = 0;
-    if (arg.rfind("--port=", 0) == 0) {
-      if (!flag_value("--port=", 0, 65535, &value)) return Usage();
-      options.port = static_cast<int>(value);
-    } else if (arg.rfind("--schemas=", 0) == 0) {
-      options.schema_dir = arg.substr(10);
-    } else if (arg.rfind("--max-connections=", 0) == 0) {
-      if (!flag_value("--max-connections=", 1, 4096, &value)) return Usage();
-      options.max_connections = static_cast<int>(value);
-    } else if (arg.rfind("--max-inflight=", 0) == 0) {
-      if (!flag_value("--max-inflight=", 0, 4096, &value)) return Usage();
-      options.max_inflight = static_cast<int>(value);
-    } else if (arg.rfind("--request-budget-ms=", 0) == 0) {
-      if (!flag_value("--request-budget-ms=", 0, 86400000, &value)) {
-        return Usage();
-      }
-      options.request_budget_ms = value;
-    } else if (arg.rfind("--request-max-states=", 0) == 0) {
-      if (!flag_value("--request-max-states=", 0, 1000000000, &value)) {
-        return Usage();
-      }
-      options.request_max_states = value;
-    } else if (arg.rfind("--request-max-sets=", 0) == 0) {
-      if (!flag_value("--request-max-sets=", 0, 1000000000, &value)) {
-        return Usage();
-      }
-      options.request_max_sets = value;
-    } else if (arg.rfind("--access-log=", 0) == 0) {
-      options.access_log_path = arg.substr(13);
-    } else if (arg.rfind("--slow-ms=", 0) == 0) {
-      if (!flag_value("--slow-ms=", 0, 86400000, &value)) return Usage();
-      options.slow_request_ms = value;
-    } else if (arg.rfind("--log-ring=", 0) == 0) {
-      if (!flag_value("--log-ring=", 1, 1000000, &value)) return Usage();
-      options.access_log_ring = static_cast<size_t>(value);
-    } else if (arg.rfind("--slow-ring=", 0) == 0) {
-      if (!flag_value("--slow-ring=", 1, 1000000, &value)) return Usage();
-      options.slow_ring = static_cast<size_t>(value);
-    } else {
-      return Usage();
-    }
-  }
+  options.port = in.Int("--port", options.port);
+  options.schema_dir = in.Text("--schemas", options.schema_dir);
+  options.max_connections =
+      in.Int("--max-connections", options.max_connections);
+  options.max_inflight = in.Int("--max-inflight", options.max_inflight);
+  options.request_budget_ms =
+      in.Int("--request-budget-ms", options.request_budget_ms);
+  options.request_max_states =
+      in.Int("--request-max-states", options.request_max_states);
+  options.request_max_sets =
+      in.Int("--request-max-sets", options.request_max_sets);
+  options.access_log_path = in.Text("--access-log", options.access_log_path);
+  options.slow_request_ms = in.Int("--slow-ms", options.slow_request_ms);
+  options.access_log_ring = in.Int("--log-ring", options.access_log_ring);
+  options.slow_ring = in.Int("--slow-ring", options.slow_ring);
 
   if (::pipe(g_shutdown_pipe) != 0) {
     return Fail(InternalError("cannot create the shutdown pipe"));
@@ -712,43 +603,14 @@ double FindPromValue(const std::string& text, const std::string& name) {
   return 0;
 }
 
-// top --port=N [--host=H] [--interval-ms=N] [--count=N]
 // Polls /statusz and /metrics and renders a refreshing one-screen view:
 // qps (both the 60s window and the poll-to-poll delta), latency
-// quantiles, per-code rates, liveness, and compile-cache hits. --count=N
-// exits after N refreshes (0 = run until interrupted).
-int CmdTop(const std::vector<std::string>& argv) {
-  std::string host = "127.0.0.1";
-  int64_t port = 0;
-  int64_t interval_ms = 1000;
-  int64_t count = 0;
-  for (size_t i = 2; i < argv.size(); ++i) {
-    const std::string& arg = argv[i];
-    auto flag_value = [&](const char* prefix, int64_t min_value,
-                          int64_t max_value, int64_t* out) {
-      int value = 0;
-      if (!ParseCount(arg.substr(std::strlen(prefix)), min_value, max_value,
-                      &value)) {
-        return false;
-      }
-      *out = value;
-      return true;
-    };
-    if (arg.rfind("--port=", 0) == 0) {
-      if (!flag_value("--port=", 1, 65535, &port)) return Usage();
-    } else if (arg.rfind("--host=", 0) == 0) {
-      host = arg.substr(7);
-    } else if (arg.rfind("--interval-ms=", 0) == 0) {
-      if (!flag_value("--interval-ms=", 10, 3600000, &interval_ms)) {
-        return Usage();
-      }
-    } else if (arg.rfind("--count=", 0) == 0) {
-      if (!flag_value("--count=", 0, 1000000000, &count)) return Usage();
-    } else {
-      return Usage();
-    }
-  }
-  if (port == 0) return Usage();
+// quantiles, per-code rates, liveness, and compile-cache hits.
+int CmdTop(Invocation& in) {
+  const std::string host = in.Text("--host", "127.0.0.1");
+  const int port = static_cast<int>(in.Int("--port", 0));
+  const int64_t interval_ms = in.Int("--interval-ms", 1000);
+  const int64_t count = in.Int("--count", 0);
 
   const bool tty = ::isatty(STDOUT_FILENO) != 0;
   double prev_requests = -1;
@@ -758,17 +620,16 @@ int CmdTop(const std::vector<std::string>& argv) {
     if (iteration > 0) {
       std::this_thread::sleep_for(std::chrono::milliseconds(interval_ms));
     }
-    StatusOr<std::string> statusz = HttpGetBody(host, static_cast<int>(port),
-                                                "/statusz");
+    StatusOr<std::string> statusz = HttpGetBody(host, port, "/statusz");
     if (!statusz.ok()) return Fail(statusz.status());
-    StatusOr<std::string> metrics = HttpGetBody(host, static_cast<int>(port),
-                                                "/metrics");
+    StatusOr<std::string> metrics = HttpGetBody(host, port, "/metrics");
     if (!metrics.ok()) return Fail(metrics.status());
     const auto now = std::chrono::steady_clock::now();
     const double elapsed_s =
         std::chrono::duration<double>(now - prev_time).count();
+    auto stat = [&](const char* key) { return FindJsonNumber(*statusz, key); };
 
-    const double total_requests = FindJsonNumber(*statusz, "total_requests");
+    const double total_requests = stat("total_requests");
     const double cache_hits = FindPromValue(*metrics, "stap_cache_hit");
     const double delta_qps =
         prev_requests >= 0 && elapsed_s > 0
@@ -777,44 +638,33 @@ int CmdTop(const std::vector<std::string>& argv) {
 
     if (tty) std::fputs("\x1b[2J\x1b[H", stdout);
     std::printf("stap top — %s:%d    up %.0fs    epoch %.0f    schemas %.0f\n",
-                host.c_str(), static_cast<int>(port),
-                FindJsonNumber(*statusz, "uptime_s"),
-                FindJsonNumber(*statusz, "snapshot_epoch"),
-                FindJsonNumber(*statusz, "schema_count"));
+                host.c_str(), port, stat("uptime_s"), stat("snapshot_epoch"),
+                stat("schema_count"));
     std::printf(
         "requests  total %.0f    qps %.0f (window %.0fs)    qps %.0f "
         "(last %.1fs)\n",
-        total_requests, FindJsonNumber(*statusz, "window_qps"),
-        FindJsonNumber(*statusz, "window_s"), delta_qps, elapsed_s);
+        total_requests, stat("window_qps"), stat("window_s"), delta_qps,
+        elapsed_s);
     std::printf(
         "latency   p50 %.0fµs    p95 %.0fµs    p99 %.0fµs    max %.0fµs    "
         "mean %.1fµs\n",
-        FindJsonNumber(*statusz, "p50_us"),
-        FindJsonNumber(*statusz, "p95_us"),
-        FindJsonNumber(*statusz, "p99_us"),
-        FindJsonNumber(*statusz, "max_us"),
-        FindJsonNumber(*statusz, "mean_us"));
+        stat("p50_us"), stat("p95_us"), stat("p99_us"), stat("max_us"),
+        stat("mean_us"));
     std::printf(
         "codes/win ok %.0f  invalid %.0f  error %.0f  busy %.0f  "
         "exhausted %.0f  not_found %.0f\n",
-        FindJsonNumber(*statusz, "window_ok"),
-        FindJsonNumber(*statusz, "window_invalid"),
-        FindJsonNumber(*statusz, "window_error"),
-        FindJsonNumber(*statusz, "window_busy"),
-        FindJsonNumber(*statusz, "window_exhausted"),
-        FindJsonNumber(*statusz, "window_not_found"));
+        stat("window_ok"), stat("window_invalid"), stat("window_error"),
+        stat("window_busy"), stat("window_exhausted"),
+        stat("window_not_found"));
     std::printf(
         "liveness  conns %.0f/%.0f    inflight %.0f    cache hits %.0f "
         "(+%.0f)\n",
-        FindJsonNumber(*statusz, "active_connections"),
-        FindJsonNumber(*statusz, "max_connections"),
-        FindJsonNumber(*statusz, "inflight"), cache_hits,
+        stat("active_connections"), stat("max_connections"),
+        stat("inflight"), cache_hits,
         prev_requests >= 0 ? cache_hits - prev_cache_hits : 0);
-    std::printf(
-        "log       slow %.0f captured    %.0f lines    %.0f dropped\n",
-        FindJsonNumber(*statusz, "slow_captured"),
-        FindJsonNumber(*statusz, "access_log_lines"),
-        FindJsonNumber(*statusz, "access_log_dropped"));
+    std::printf("log       slow %.0f captured    %.0f lines    %.0f dropped\n",
+                stat("slow_captured"), stat("access_log_lines"),
+                stat("access_log_dropped"));
     std::fflush(stdout);
 
     prev_requests = total_requests;
@@ -824,263 +674,261 @@ int CmdTop(const std::vector<std::string>& argv) {
   return 0;
 }
 
-int RunCommand(const std::vector<std::string>& argv, GlobalOptions& options) {
-  Budget* const budget = options.budget_ptr();
-  const int argc = static_cast<int>(argv.size());
-  if (argc < 2) return Usage();
-  std::string command = argv[1];
+struct Command {
+  const char* name;
+  const char* synopsis;  // positional arguments, as printed by Usage()
+  const char* help;
+  int min_args;  // positional arity after the command name
+  int max_args;  // -1 = unbounded
+  std::vector<Flag> flags;
+  std::vector<Need> schemas;  // the precondition step, per leading argument
+  int (*run)(Invocation&);
+};
 
-  auto load2 = [&](StatusOr<Edtd>* d1, StatusOr<Edtd>* d2) {
-    *d1 = LoadSchema(argv[2], budget);
-    *d2 = LoadSchema(argv[3], budget);
-    return d1->ok() && d2->ok();
+const std::vector<Command> kCommands = {
+    {"validate", "<schema> <doc...>", "validate documents (schema text or "
+     "artifact)", 2, -1, {}, {}, CmdValidate},
+    {"compile", "<schema>", "compile a schema to a binary artifact", 1, 1,
+     {{"-o", kText, "FILE", "artifact to write", 0, 0, nullptr, true}}, {},
+     CmdCompile},
+    {"check", "<schema>", "report schema properties", 1, 1, {}, {kLoaded},
+     CmdCheck},
+    {"minimize", "<schema>", "canonical minimal XSD", 1, 1, {}, {kSingleType},
+     [](Invocation& in) {
+       return PrintXsd(in, DfaXsdFromStEdtd(in.schemas[0]));
+     }},
+    {"approx", "<schema>", "minimal upper XSD-approximation", 1, 1, {},
+     {kLoaded},
+     [](Invocation& in) {
+       return PrintXsd(in, MinimalUpperApproximation(in.schemas[0], in.budget));
+     }},
+    {"merge", "<s1> <s2>", "upper approximation of the union", 2, 2, {},
+     {kSingleType, kSingleType},
+     [](Invocation& in) {
+       return PrintXsd(in, UpperUnion(in.schemas[0], in.schemas[1], in.budget));
+     }},
+    {"intersect", "<s1> <s2>", "exact intersection", 2, 2, {},
+     {kSingleType, kSingleType},
+     [](Invocation& in) {
+       return PrintXsd(in, UpperIntersection(in.schemas[0], in.schemas[1],
+                                             nullptr, in.budget));
+     }},
+    {"diff", "<s1> <s2>", "upper approximation of s1 \\ s2", 2, 2, {},
+     {kSingleType, kSingleType},
+     [](Invocation& in) {
+       return PrintXsd(in, UpperDifference(in.schemas[0], in.schemas[1],
+                                           nullptr, in.budget));
+     }},
+    {"complement", "<schema>", "upper approximation of the complement", 1, 1,
+     {}, {kSingleType},
+     [](Invocation& in) {
+       return PrintXsd(in, UpperComplement(in.schemas[0], nullptr, in.budget));
+     }},
+    {"lower", "<s1> <s2>", "maximal lower approximation of the union", 2, 2,
+     {}, {kSingleType, kSingleType},
+     [](Invocation& in) {
+       return PrintXsd(in, LowerUnionFixingFirst(in.schemas[0], in.schemas[1]));
+     }},
+    {"included", "<s1> <s2>", "is L(s1) a subset of L(s2)?", 2, 2, {},
+     {kReduced, kSingleType}, CmdIncluded},
+    {"witness", "<s1> <s2>", "a document in L(s1) \\ L(s2)", 2, 2, {},
+     {kLoaded, kSingleType}, CmdWitness},
+    {"types", "<schema> <doc.xml>", "print the document's typing", 2, 2, {},
+     {kReduced}, CmdTypes},
+    {"report", "<s1> <s2>", "full comparison report", 2, 2, {},
+     {kSingleType, kSingleType},
+     [](Invocation& in) {
+       std::cout << CompareSchemas(in.schemas[0], in.schemas[1]).ToString();
+       return 0;
+     }},
+    {"sample", "<schema> [count]", "sample random documents", 1, 2, {},
+     {kSingleType}, CmdSample},
+    {"count", "<schema> <depth> <width>", "count documents within bounds", 3,
+     3, {}, {kSingleType}, CmdCount},
+    {"measure", "<schema>", "exact document counts of S, upper, lower", 1, 1,
+     {{"--upper", kSwitch, "", "measure the upper approximation"},
+      {"--lower", kSwitch, "", "measure the lower approximation"},
+      {"--both", kSwitch, "", "measure both (the default)"},
+      {"--depth", kInt, "D", "depth bound", 1, 64, "depth bound"},
+      {"--width", kInt, "W", "width bound", 0, 64, "width bound"},
+      {"--json", kSwitch, "", "print the report as JSON"}},
+     {kLoaded}, CmdMeasure},
+    {"export", "<schema>", "write a W3C-style .xsd document", 1, 1,
+     {{"--repair-upa", kSwitch, "", "rewrite non-UPA content models"}},
+     {kSingleType}, CmdExport},
+    {"import", "<schema.xsd>", "read a W3C-style .xsd document", 1, 1, {}, {},
+     CmdImport},
+    {"family", "<name> [n]", "a paper lower-bound family (see below)", 1, 2,
+     {}, {}, CmdFamily},
+    {"explain", "<schema>", "approximate; print a per-phase table", 1, 1,
+     {{"--schema-guided", kSwitch, "", "use the schema-guided determinizer"}},
+     {kLoaded}, CmdExplain},
+    {"serve", "", "validation daemon; stops on SIGINT/SIGTERM", 0, 0,
+     {{"--port", kInt, "N", "listen port (0 = ephemeral)", 0, 65535},
+      {"--schemas", kText, "DIR", "serve DIR/*.stapc and DIR/*.stap"},
+      {"--max-connections", kInt, "N", "concurrent connections", 1, 4096},
+      {"--max-inflight", kInt, "N", "requests processed at once", 0, 4096},
+      {"--request-budget-ms", kInt, "N", "per-request deadline", 0, 86400000},
+      {"--request-max-states", kInt, "N", "states per request", 0, 1000000000},
+      {"--request-max-sets", kInt, "N", "sets per request", 0, 1000000000},
+      {"--access-log", kText, "FILE", "append a JSONL line per request"},
+      {"--slow-ms", kInt, "N", "capture slower requests", 0, 86400000},
+      {"--log-ring", kInt, "N", "access-log ring size", 1, 1000000},
+      {"--slow-ring", kInt, "N", "slow-request ring size", 1, 1000000}},
+     {}, CmdServe},
+    {"top", "", "live view of a serve daemon", 0, 0,
+     {{"--port", kInt, "N", "daemon port", 1, 65535, nullptr, true},
+      {"--host", kText, "H", "daemon host (default 127.0.0.1)"},
+      {"--interval-ms", kInt, "N", "refresh interval", 10, 3600000},
+      {"--count", kInt, "N", "refreshes (0 = until stopped)", 0, 1000000000}},
+     {}, CmdTop},
+};
+
+std::string FlagSynopsis(const Flag& flag) {
+  const std::string name = flag.name;
+  if (flag.kind == kSwitch) return name;
+  if (flag.kind == kOptionalText) return name + "[=" + flag.value + "]";
+  return name + (name[1] == '-' ? "=" : " ") + flag.value;
+}
+
+int Usage(const std::string& problem = "") {
+  std::ostringstream out;
+  // One line per entry: `left` padded to a column, then `help`.
+  auto line = [&out](const std::string& left, const std::string& help) {
+    const int pad = std::max(2, 34 - static_cast<int>(left.size()));
+    out << left << std::string(pad, ' ') << help << "\n";
   };
+  if (!problem.empty()) out << "error: " << problem << "\n";
+  out << "usage: stap <command> <args> [flags]\n";
+  for (const Command& command : kCommands) {
+    line(std::string("  ") + command.name + " " + command.synopsis,
+         command.help);
+    for (const Flag& flag : command.flags) {
+      line("      " + FlagSynopsis(flag),
+           std::string(flag.help) + (flag.required ? " (required)" : ""));
+    }
+  }
+  out << "global flags, accepted anywhere:\n";
+  for (const Flag& flag : kGlobalFlags) {
+    line("  " + FlagSynopsis(flag), flag.help);
+  }
+  out << "families (theorem43a/b and theorem411 ignore n; counted is "
+         "Item{n,2n}):";
+  int i = 0;
+  for (const auto& [name, make] : kFamilies) {
+    out << (i++ % 5 == 0 ? "\n  " : " ") << name;
+  }
+  out << "\n"
+         "exit codes: 0 ok, 1 error or 'no', 2 usage, 3 budget exhausted\n"
+         "schema arguments accept the textual format (docs/FORMAT.md) or a\n"
+         "W3C .xsd document (auto-detected by a leading '<')\n";
+  std::cerr << out.str();
+  return 2;
+}
 
-  if (command == "validate" && argc >= 4) {
-    return CmdValidate(argv, options);
-  }
-  if (command == "compile") return CmdCompile(argv, budget);
-  if (command == "check" && argc == 3) return CmdCheck(argv[2], budget);
-  if (command == "minimize" && argc == 3) {
-    StatusOr<Edtd> schema = LoadSchema(argv[2], budget);
-    if (!schema.ok()) return Fail(schema.status());
-    Edtd reduced = ReduceEdtd(*schema);
-    if (!IsSingleType(reduced)) {
-      return Fail(InvalidArgumentError(
-          "schema is not single-type; run 'approx' first"));
+const Flag* FindFlag(const std::vector<Flag>& flags, const std::string& name) {
+  for (const Flag& flag : flags) if (name == flag.name) return &flag;
+  return nullptr;
+}
+
+// The one flag parser. Global flags are accepted anywhere; the first other
+// argument names the command, whose own flags may follow it. A `--name`
+// flag carries its value after '=', a single-dash flag ("-o FILE") in the
+// next argument, and every value is checked against its declaration.
+// Returns the exit code of the reported error, or nullopt.
+std::optional<int> ParseCommandLine(const std::vector<std::string>& line,
+                                    Invocation* in) {
+  const Command*& command = in->command;
+  for (size_t i = 0; i < line.size(); ++i) {
+    const std::string& arg = line[i];
+    const bool dashed = arg.rfind("--", 0) == 0;
+    const std::string name = dashed ? arg.substr(0, arg.find('=')) : arg;
+    const Flag* flag = FindFlag(kGlobalFlags, name);
+    if (flag == nullptr && command != nullptr) {
+      flag = FindFlag(command->flags, name);
     }
-    return PrintXsd(DfaXsdFromStEdtd(reduced));
-  }
-  if (command == "approx" && argc == 3) {
-    StatusOr<Edtd> schema = LoadSchema(argv[2], budget);
-    if (!schema.ok()) return Fail(schema.status());
-    StatusOr<DfaXsd> xsd = MinimalUpperApproximation(*schema, budget);
-    if (!xsd.ok()) return Fail(xsd.status());
-    return PrintXsd(*xsd);
-  }
-  if ((command == "merge" || command == "intersect" || command == "diff" ||
-       command == "lower" || command == "included") &&
-      argc == 4) {
-    StatusOr<Edtd> d1(InternalError("unset"));
-    StatusOr<Edtd> d2(InternalError("unset"));
-    if (!load2(&d1, &d2)) {
-      return Fail(d1.ok() ? d2.status() : d1.status());
-    }
-    Edtd r1 = ReduceEdtd(*d1);
-    Edtd r2 = ReduceEdtd(*d2);
-    if (command == "included") {
-      if (!IsSingleType(r2)) {
-        return Fail(InvalidArgumentError(
-            "the second schema must be single-type for the PTIME test"));
+    if (flag == nullptr) {
+      if (dashed) return Usage("unknown flag '" + name + "'");
+      if (command != nullptr) {
+        in->args.push_back(arg);
+        continue;
       }
-      StatusOr<bool> included = IncludedInSingleType(r1, r2, nullptr, budget);
-      if (!included.ok()) return Fail(included.status());
-      std::cout << (*included ? "INCLUDED\n" : "NOT INCLUDED\n");
-      return *included ? 0 : 1;
+      for (const Command& c : kCommands) if (arg == c.name) command = &c;
+      if (command == nullptr) return Usage("unknown command '" + arg + "'");
+      continue;
     }
-    if (!IsSingleType(r1) || !IsSingleType(r2)) {
-      return Fail(InvalidArgumentError(
-          "both schemas must be single-type; run 'approx' on each first"));
+    std::optional<std::string> value;
+    if (!dashed) {
+      if (i + 1 == line.size()) return Usage(name + " needs a value");
+      value = line[++i];
+    } else if (name.size() < arg.size()) {
+      value = arg.substr(name.size() + 1);
     }
-    if (command == "merge") {
-      StatusOr<DfaXsd> result = UpperUnion(r1, r2, budget);
-      if (!result.ok()) return Fail(result.status());
-      return PrintXsd(*result);
+    if (flag->kind == kSwitch ? value.has_value()
+                              : !value && flag->kind != kOptionalText) {
+      return Usage("malformed flag '" + arg + "'");
     }
-    if (command == "intersect") {
-      StatusOr<DfaXsd> result = UpperIntersection(r1, r2, nullptr, budget);
-      if (!result.ok()) return Fail(result.status());
-      return PrintXsd(*result);
+    in->flags[name] = value.value_or("");
+    if (flag->kind != kInt) continue;
+    StatusOr<int64_t> number =
+        CheckedInt(in->flags[name], flag->bound ? flag->bound : name,
+                   flag->min, flag->max);
+    if (!number.ok()) {
+      return flag->bound ? Fail(number.status())
+                         : Usage(number.status().message());
     }
-    if (command == "diff") {
-      StatusOr<DfaXsd> result = UpperDifference(r1, r2, nullptr, budget);
-      if (!result.ok()) return Fail(result.status());
-      return PrintXsd(*result);
-    }
-    return PrintXsd(LowerUnionFixingFirst(r1, r2));
   }
-  if (command == "complement" && argc == 3) {
-    StatusOr<Edtd> schema = LoadSchema(argv[2], budget);
-    if (!schema.ok()) return Fail(schema.status());
-    Edtd reduced = ReduceEdtd(*schema);
-    if (!IsSingleType(reduced)) {
-      return Fail(InvalidArgumentError(
-          "schema must be single-type; run 'approx' first"));
-    }
-    StatusOr<DfaXsd> result = UpperComplement(reduced, nullptr, budget);
-    if (!result.ok()) return Fail(result.status());
-    return PrintXsd(*result);
+  if (command == nullptr) return Usage();
+  const Command& c = *command;
+  const int n = static_cast<int>(in->args.size());
+  if (n < c.min_args || (c.max_args >= 0 && n > c.max_args)) {
+    return Usage(std::string("expected: stap ") + c.name + " " + c.synopsis);
   }
-  if (command == "sample" && (argc == 3 || argc == 4)) {
-    int count = 1;
-    if (argc == 4 && !ParseCount(argv[3], 1, 1000000, &count)) {
-      return BadCount("sample count", argv[3], 1, 1000000);
+  for (const Flag& flag : c.flags) {
+    if (flag.required && !in->Has(flag.name)) {
+      return Usage(c.name + std::string(" needs ") + FlagSynopsis(flag));
     }
-    return CmdSample(argv[2], count, budget);
   }
-  if (command == "witness" && argc == 4) {
-    StatusOr<Edtd> d1 = LoadSchema(argv[2], budget);
-    if (!d1.ok()) return Fail(d1.status());
-    StatusOr<Edtd> d2 = LoadSchema(argv[3], budget);
-    if (!d2.ok()) return Fail(d2.status());
-    Edtd r2 = ReduceEdtd(*d2);
-    if (!IsSingleType(r2)) {
-      return Fail(InvalidArgumentError(
-          "the second schema must be single-type; run 'approx' first"));
-    }
-    std::optional<Tree> witness =
-        XsdInclusionWitness(*d1, DfaXsdFromStEdtd(r2));
-    if (!witness.has_value()) {
-      std::cout << "INCLUDED (no witness)\n";
-      return 0;
-    }
-    // Render over the merged alphabet the witness was built with.
-    Alphabet merged = DfaXsdFromStEdtd(r2).sigma;
-    for (int a = 0; a < d1->sigma.size(); ++a) {
-      merged.Intern(d1->sigma.Name(a));
-    }
-    std::cout << ToXml(*witness, merged);
-    return 1;
-  }
-  if (command == "report" && argc == 4) {
-    StatusOr<Edtd> d1 = LoadSchema(argv[2], budget);
-    if (!d1.ok()) return Fail(d1.status());
-    StatusOr<Edtd> d2 = LoadSchema(argv[3], budget);
-    if (!d2.ok()) return Fail(d2.status());
-    Edtd r1 = ReduceEdtd(*d1);
-    Edtd r2 = ReduceEdtd(*d2);
-    if (!IsSingleType(r1) || !IsSingleType(r2)) {
-      return Fail(InvalidArgumentError(
-          "both schemas must be single-type; run 'approx' on each first"));
-    }
-    std::cout << CompareSchemas(r1, r2).ToString();
-    return 0;
-  }
-  if (command == "types" && argc == 4) {
-    StatusOr<Edtd> schema = LoadSchema(argv[2], budget);
-    if (!schema.ok()) return Fail(schema.status());
-    Edtd reduced = ReduceEdtd(*schema);
-    StatusOr<std::string> xml = ReadFile(argv[3]);
-    if (!xml.ok()) return Fail(xml.status());
-    Alphabet alphabet = reduced.sigma;
-    StatusOr<Tree> document = ParseXml(*xml, &alphabet);
-    if (!document.ok()) return Fail(document.status());
-    if (alphabet.size() != reduced.sigma.size()) {
-      std::cout << "NO TYPING (undeclared elements)\n";
-      return 1;
-    }
-    std::optional<Typing> typing = AssignTypesEdtd(reduced, *document);
-    if (!typing.has_value()) {
-      std::cout << "NO TYPING (document invalid)\n";
-      return 1;
-    }
-    std::cout << typing->ToString(reduced, *document);
-    int64_t count = CountTypings(reduced, *document);
-    if (count > 1) {
-      std::cout << "(ambiguous: " << count << " distinct typings)\n";
-    }
-    return 0;
-  }
-  if (command == "count" && argc == 5) {
-    StatusOr<Edtd> schema = LoadSchema(argv[2], budget);
-    if (!schema.ok()) return Fail(schema.status());
-    Edtd reduced = ReduceEdtd(*schema);
-    if (!IsSingleType(reduced)) {
-      return Fail(InvalidArgumentError(
-          "counting requires a single-type schema; run 'approx' first"));
-    }
-    int depth = 0;
-    int width = 0;
-    if (!ParseCount(argv[3], 0, 1000000, &depth)) {
-      return BadCount("depth bound", argv[3], 0, 1000000);
-    }
-    if (!ParseCount(argv[4], 0, 1000000, &width)) {
-      return BadCount("width bound", argv[4], 0, 1000000);
-    }
-    double count = CountDocuments(DfaXsdFromStEdtd(reduced), depth, width);
-    std::cout << count << "\n";
-    return 0;
-  }
-  if (command == "measure" && argc >= 3) return CmdMeasure(argv, budget);
-  if (command == "export" && (argc == 3 || argc == 4)) {
-    StatusOr<Edtd> schema = LoadSchema(argv[2], budget);
-    if (!schema.ok()) return Fail(schema.status());
-    Edtd reduced = ReduceEdtd(*schema);
-    if (!IsSingleType(reduced)) {
-      return Fail(InvalidArgumentError(
-          "export requires a single-type schema; run 'approx' first"));
-    }
-    XsdExportOptions options;
-    if (argc == 4) {
-      if (std::string(argv[3]) != "--repair-upa") return Usage();
-      options.repair_upa = true;
-    }
-    std::cout << ExportXsd(MinimizeXsd(DfaXsdFromStEdtd(reduced)), options);
-    return 0;
-  }
-  if (command == "import" && argc == 3) {
-    StatusOr<std::string> xml = ReadFile(argv[2]);
-    if (!xml.ok()) return Fail(xml.status());
-    StatusOr<Edtd> schema = ImportXsd(*xml, budget);
-    if (!schema.ok()) return Fail(schema.status());
-    std::cout << SchemaToText(ReduceEdtd(*schema));
-    return 0;
-  }
-  if (command == "family" && (argc == 3 || argc == 4)) {
-    const std::string& name = argv[2];
-    int n = 1;
-    if (argc == 4 && !ParseCount(argv[3], 1, 1000000, &n)) {
-      return BadCount("family size", argv[3], 1, 1000000);
-    }
-    // The pair-valued families expose each member under an a/b suffix so
-    // the result is always a single schema on stdout.
-    Edtd schema;
-    if (name == "theorem32") {
-      schema = Theorem32Family(n);
-    } else if (name == "theorem36a") {
-      schema = Theorem36Family(n).first;
-    } else if (name == "theorem36b") {
-      schema = Theorem36Family(n).second;
-    } else if (name == "theorem38a") {
-      schema = Theorem38Family(n).first;
-    } else if (name == "theorem38b") {
-      schema = Theorem38Family(n).second;
-    } else if (name == "theorem43a") {
-      schema = Theorem43Schemas().first;
-    } else if (name == "theorem43b") {
-      schema = Theorem43Schemas().second;
-    } else if (name == "theorem411") {
-      schema = Theorem411Dtd();
-    } else if (name == "counted") {
-      schema = CountedFamily(n, 2 * n);
-    } else {
-      return Fail(InvalidArgumentError("unknown family '" + name + "'"));
-    }
-    std::cout << SchemaToText(schema);
-    return 0;
-  }
-  if (command == "explain" && (argc == 3 || argc == 4)) {
-    if (argc == 4 && argv[3] != "--schema-guided") return Usage();
-    return CmdExplain(argv[2], argc == 4, options);
-  }
-  if (command == "serve") return CmdServe(argv);
-  if (command == "top") return CmdTop(argv);
-  return Usage();
+  return std::nullopt;
 }
 
 int Run(int argc, char** argv) {
-  GlobalOptions options;
-  std::vector<std::string> args;
-  args.push_back(argc > 0 ? argv[0] : "stap");
-  if (!ParseGlobalFlags(argc, argv, &args, &options)) return Usage();
-  if (options.trace) {
-    options.session = std::make_unique<TraceSession>();
-    options.session->Start();
-    options.states_at_trace_start =
+  const std::vector<std::string> line(argv + std::min(argc, 1), argv + argc);
+  Invocation in;
+  if (std::optional<int> error = ParseCommandLine(line, &in)) return *error;
+  if (in.Has("--budget-ms") || in.Has("--max-states") ||
+      in.Has("--max-sets")) {
+    in.budget = &in.owned_budget.emplace();
+    if (in.Has("--budget-ms")) {
+      in.budget->set_deadline_ms(in.Int("--budget-ms", 0));
+    }
+    in.budget->set_max_states(in.Int("--max-states", Budget::kUnlimited));
+    in.budget->set_max_sets(in.Int("--max-sets", Budget::kUnlimited));
+  }
+  if (in.Has("--trace-json")) {
+    in.session = std::make_unique<TraceSession>();
+    in.session->Start();
+    in.states_at_trace_start =
         GetCounter("determinize.states_created")->value();
   }
-  const int code = RunCommand(args, options);
-  return DumpTrace(options, DumpMetrics(options, code));
+  const Status loaded = LoadSchemas(in.command->schemas, &in);
+  int code = loaded.ok() ? in.command->run(in) : Fail(loaded);
+
+  // The dumps run whatever the outcome, so a budget-stopped run still
+  // reports how far it got.
+  MetricsRegistry* const metrics = MetricsRegistry::Global();
+  if (in.Has("--metrics-json")) {
+    code = WriteDump(metrics->ToJson(), in.Text("--metrics-json"), code);
+  }
+  if (in.Has("--metrics-prom")) {
+    code = WriteDump(metrics->ToPrometheusText(), in.Text("--metrics-prom"),
+                     code);
+  }
+  if (in.session != nullptr) {
+    in.session->Stop();
+    code = WriteDump(in.session->ToChromeJson(), in.Text("--trace-json"), code);
+  }
+  return code;
 }
 
 }  // namespace
