@@ -488,7 +488,7 @@ StatusOr<DfaXsd> UpperIntersection(const Edtd& d1_in, const Edtd& d2_in,
       StateSetInsert(product.start_symbols, a);
     }
   }
-  // Prune unproductive states through the EDTD reduction round trip.
+  // MinimizeXsd prunes the unproductive states.
   return MinimizeXsd(product, budget);
 }
 

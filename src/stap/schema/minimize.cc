@@ -1,6 +1,5 @@
 #include "stap/schema/minimize.h"
 
-#include <deque>
 #include <string>
 #include <unordered_map>
 #include <utility>
@@ -10,87 +9,8 @@
 #include "stap/automata/state_set_hash.h"
 #include "stap/base/check.h"
 #include "stap/schema/reduce.h"
-#include "stap/schema/type_automaton.h"
 
 namespace stap {
-
-namespace {
-
-// Removes automaton transitions on symbols that never occur in the source
-// state's content language (they can never be exercised by a valid
-// document and would otherwise block state merging).
-DfaXsd DropUselessTransitions(const DfaXsd& xsd) {
-  DfaXsd result = xsd;
-  const int num_symbols = xsd.sigma.size();
-  const int init = xsd.automaton.initial();
-  for (int q = 0; q < xsd.automaton.num_states(); ++q) {
-    if (q == init) continue;
-    Dfa trimmed = xsd.content[q].Trimmed();
-    std::vector<bool> occurs(num_symbols, false);
-    for (int s = 0; s < trimmed.num_states(); ++s) {
-      for (int a = 0; a < num_symbols; ++a) {
-        if (trimmed.Next(s, a) != kNoState) occurs[a] = true;
-      }
-    }
-    for (int a = 0; a < num_symbols; ++a) {
-      if (!occurs[a]) result.automaton.SetTransition(q, a, kNoState);
-    }
-  }
-  // From q_init only start symbols matter.
-  for (int a = 0; a < num_symbols; ++a) {
-    if (!StateSetContains(xsd.start_symbols, a)) {
-      result.automaton.SetTransition(init, a, kNoState);
-    }
-  }
-  return result;
-}
-
-// BFS canonical renumbering (q_init becomes state 0).
-DfaXsd Canonicalize(const DfaXsd& xsd) {
-  const int n = xsd.automaton.num_states();
-  const int num_symbols = xsd.sigma.size();
-  const int init = xsd.automaton.initial();
-  std::vector<int> remap(n, kNoState);
-  std::vector<int> order = {init};
-  remap[init] = 0;
-  std::deque<int> queue = {init};
-  while (!queue.empty()) {
-    int q = queue.front();
-    queue.pop_front();
-    for (int a = 0; a < num_symbols; ++a) {
-      int r = xsd.automaton.Next(q, a);
-      if (r != kNoState && remap[r] == kNoState) {
-        remap[r] = static_cast<int>(order.size());
-        order.push_back(r);
-        queue.push_back(r);
-      }
-    }
-  }
-  DfaXsd result;
-  result.sigma = xsd.sigma;
-  result.start_symbols = xsd.start_symbols;
-  result.automaton = Dfa(static_cast<int>(order.size()), num_symbols);
-  result.automaton.SetInitial(0);
-  result.state_label.resize(order.size());
-  result.content.resize(order.size(), Dfa::EmptyLanguage(num_symbols));
-  if (!xsd.content_source.empty()) result.content_source.resize(order.size());
-  for (int q : order) {
-    result.state_label[remap[q]] = xsd.state_label[q];
-    result.content[remap[q]] = xsd.content[q];
-    if (!xsd.content_source.empty()) {
-      result.content_source[remap[q]] = xsd.content_source[q];
-    }
-    for (int a = 0; a < num_symbols; ++a) {
-      int r = xsd.automaton.Next(q, a);
-      if (r != kNoState && remap[r] != kNoState) {
-        result.automaton.SetTransition(remap[q], a, remap[r]);
-      }
-    }
-  }
-  return result;
-}
-
-}  // namespace
 
 DfaXsd MinimizeXsd(const DfaXsd& input) {
   StatusOr<DfaXsd> result = MinimizeXsd(input, nullptr);
@@ -98,12 +18,73 @@ DfaXsd MinimizeXsd(const DfaXsd& input) {
 }
 
 StatusOr<DfaXsd> MinimizeXsd(const DfaXsd& input, Budget* budget) {
-  // Step 1: reduce through the EDTD view; this prunes unproductive and
-  // unreachable states and canonicalizes every content DFA.
-  Edtd reduced = ReduceEdtd(StEdtdFromDfaXsd(input));
-  DfaXsd xsd = DropUselessTransitions(DfaXsdFromStEdtd(reduced));
-  const int n = xsd.automaton.num_states();
-  const int num_symbols = xsd.sigma.size();
+  STAP_RETURN_IF_ERROR(Budget::CheckDeadline(budget));
+  input.CheckWellFormed();
+  const int num_symbols = input.sigma.size();
+  const int init = input.automaton.initial();
+
+  // Step 1: reduce. Keep the productive states reachable from the start
+  // symbols, q_init first (as state 0) and the rest in state order, with
+  // minimized restricted contents. Transitions survive only on symbols
+  // the content uses, and from q_init only on start symbols whose state
+  // is kept. q_init's content is unused, so it has no successors here.
+  std::vector<int> roots;
+  for (int a : input.start_symbols) {
+    int q = input.automaton.Next(init, a);
+    if (q != kNoState) roots.push_back(q);
+  }
+  UsefulStates useful = FindUsefulStates(
+      input.content,
+      [&](int q, int a) {
+        return q == init ? kNoState : input.automaton.Next(q, a);
+      },
+      roots);
+  const int n = static_cast<int>(useful.kept.size()) + 1;
+  std::vector<int> state_of(input.automaton.num_states(), kNoState);
+  state_of[init] = 0;
+  for (int i = 1; i < n; ++i) state_of[useful.kept[i - 1]] = i;
+  // The kept child of state q on symbol a, renumbered, or kNoState.
+  auto child = [&](int q, int a) {
+    int r = input.automaton.Next(q, a);
+    return r == kNoState ? kNoState : state_of[r];
+  };
+
+  DfaXsd xsd;
+  xsd.sigma = input.sigma;
+  xsd.automaton = Dfa(n, num_symbols);
+  xsd.state_label.assign(n, kNoSymbol);
+  xsd.content.assign(n, Dfa::EmptyLanguage(num_symbols));
+  if (!input.content_source.empty()) xsd.content_source.resize(n);
+  for (int a : input.start_symbols) {
+    if (child(init, a) == kNoState) continue;
+    xsd.start_symbols.push_back(a);
+    xsd.automaton.SetTransition(0, a, child(init, a));
+  }
+  std::vector<int> symbol_map(num_symbols);
+  for (int i = 1; i < n; ++i) {
+    const int q = useful.kept[i - 1];
+    const Dfa& content = useful.content[i - 1];
+    xsd.state_label[i] = input.state_label[q];
+    for (int s = 0; s < content.num_states(); ++s) {
+      for (int a = 0; a < num_symbols; ++a) {
+        if (content.Next(s, a) != kNoState) {
+          xsd.automaton.SetTransition(i, a, child(q, a));
+        }
+      }
+    }
+    StatusOr<Dfa> minimal = Minimize(content, budget);
+    if (!minimal.ok()) return minimal.status();
+    xsd.content[i] = *std::move(minimal);
+    if (!input.content_source.empty() && input.content_source[q] != nullptr) {
+      // A source mentioning a symbol whose state was dropped substitutes
+      // to nullptr: the restricted content may differ from it there.
+      for (int a = 0; a < num_symbols; ++a) {
+        symbol_map[a] = child(q, a) == kNoState ? kNoSymbol : a;
+      }
+      xsd.content_source[i] =
+          Regex::Substitute(input.content_source[q], symbol_map);
+    }
+  }
 
   // Step 2: initial partition by (label, content language). Content DFAs
   // are canonical minimal automata here, so structural equality decides
@@ -147,40 +128,50 @@ StatusOr<DfaXsd> MinimizeXsd(const DfaXsd& input, Budget* budget) {
     num_blocks = next_num;
   }
 
-  // Step 4: build the quotient.
-  DfaXsd quotient;
-  quotient.sigma = xsd.sigma;
-  quotient.start_symbols = xsd.start_symbols;
-  // Renumber blocks so that q_init's block is 0.
+  // Step 4: the quotient, its blocks numbered in BFS order from q_init's
+  // block (symbols ascending). Members of a block agree on label, content
+  // and successor blocks, so the first-found member builds the block.
   std::vector<int> block_state(num_blocks, kNoState);
-  int next_id = 0;
-  block_state[block[0]] = next_id++;
-  for (int q = 1; q < n; ++q) {
-    if (block_state[block[q]] == kNoState) block_state[block[q]] = next_id++;
-  }
-  quotient.automaton = Dfa(num_blocks, num_symbols);
-  quotient.automaton.SetInitial(0);
-  quotient.state_label.assign(num_blocks, kNoSymbol);
-  quotient.content.assign(num_blocks, Dfa::EmptyLanguage(num_symbols));
-  if (!xsd.content_source.empty()) quotient.content_source.resize(num_blocks);
-  for (int q = 0; q < n; ++q) {
-    int b = block_state[block[q]];
-    quotient.state_label[b] = xsd.state_label[q];
-    quotient.content[b] = xsd.content[q];
-    if (!xsd.content_source.empty() && xsd.content_source[q] != nullptr) {
-      // Merged states share one content language (the initial partition
-      // keys on it), so any member's provenance serves the block.
-      quotient.content_source[b] = xsd.content_source[q];
-    }
+  std::vector<int> member = {0};
+  block_state[block[0]] = 0;
+  for (size_t b = 0; b < member.size(); ++b) {
     for (int a = 0; a < num_symbols; ++a) {
-      int r = xsd.automaton.Next(q, a);
-      if (r != kNoState) {
-        quotient.automaton.SetTransition(b, a, block_state[block[r]]);
+      int r = xsd.automaton.Next(member[b], a);
+      if (r != kNoState && block_state[block[r]] == kNoState) {
+        block_state[block[r]] = static_cast<int>(member.size());
+        member.push_back(r);
       }
     }
   }
-
-  DfaXsd result = Canonicalize(quotient);
+  const int m = static_cast<int>(member.size());
+  DfaXsd result;
+  result.sigma = xsd.sigma;
+  result.start_symbols = xsd.start_symbols;
+  result.automaton = Dfa(m, num_symbols);
+  result.state_label.resize(m);
+  result.content.resize(m);
+  for (int b = 0; b < m; ++b) {
+    const int q = member[b];
+    result.state_label[b] = xsd.state_label[q];
+    result.content[b] = std::move(xsd.content[q]);
+    for (int a = 0; a < num_symbols; ++a) {
+      int r = xsd.automaton.Next(q, a);
+      if (r != kNoState) {
+        result.automaton.SetTransition(b, a, block_state[block[r]]);
+      }
+    }
+  }
+  if (!xsd.content_source.empty()) {
+    // Merged states share one content language (the initial partition
+    // keys on it), so any member's provenance serves the block; the last
+    // one with provenance, in state order, is taken.
+    result.content_source.resize(m);
+    for (int q = 0; q < n; ++q) {
+      if (xsd.content_source[q] != nullptr) {
+        result.content_source[block_state[block[q]]] = xsd.content_source[q];
+      }
+    }
+  }
   result.CheckWellFormed();
   return result;
 }
@@ -210,11 +201,6 @@ StatusOr<DfaXsd> MinimizeXsdUnderContext(const DfaXsd& input,
     xsd.content[q] = *std::move(content);
   }
   return MinimizeXsd(xsd, budget);
-}
-
-Edtd MinimizeStEdtd(const Edtd& edtd) {
-  STAP_CHECK(IsSingleType(edtd));
-  return StEdtdFromDfaXsd(MinimizeXsd(DfaXsdFromStEdtd(edtd)));
 }
 
 bool XsdStructurallyEqual(const DfaXsd& a, const DfaXsd& b) {

@@ -20,9 +20,10 @@ namespace stap {
 // minimized XSDs (XsdStructurallyEqual) decides language equivalence.
 DfaXsd MinimizeXsd(const DfaXsd& xsd);
 
-// Budgeted variant: the content canonicalizations charge the state quota
-// and every refinement round checks the wall-clock deadline. A null
-// budget is unlimited.
+// Budgeted variant: the wall-clock deadline is checked before any work,
+// by every content minimization and in every refinement round. Nothing
+// here grows a state count, so the state and set quotas are not charged.
+// A null budget is unlimited.
 StatusOr<DfaXsd> MinimizeXsd(const DfaXsd& xsd, Budget* budget);
 
 // Minimizes `xsd` relative to an ambient sibling-word constraint: every
@@ -38,9 +39,6 @@ StatusOr<DfaXsd> MinimizeXsd(const DfaXsd& xsd, Budget* budget);
 StatusOr<DfaXsd> MinimizeXsdUnderContext(const DfaXsd& xsd,
                                          const Nfa& sibling_context,
                                          Budget* budget = nullptr);
-
-// Convenience: minimize a single-type EDTD (checked) through DfaXsd form.
-Edtd MinimizeStEdtd(const Edtd& edtd);
 
 // Field-by-field comparison (alphabets must match by name).
 bool XsdStructurallyEqual(const DfaXsd& a, const DfaXsd& b);

@@ -8,9 +8,28 @@
 #ifndef STAP_SCHEMA_REDUCE_H_
 #define STAP_SCHEMA_REDUCE_H_
 
+#include <functional>
+#include <vector>
+
+#include "stap/automata/dfa.h"
 #include "stap/schema/edtd.h"
 
 namespace stap {
+
+// The productive and reachable states of a tree grammar whose state q has
+// content language content[q] and, on content symbol a, its child in state
+// next(q, a) (kNoState if none). ReduceEdtd passes next(τ, τ') = τ' and the
+// start types as roots; MinimizeXsd passes δ and the states δ(q_init, a)
+// of the start symbols a.
+struct UsefulStates {
+  std::vector<int> kept;  // ascending
+  // Per kept state: its content restricted to the symbols leading to
+  // productive states, trimmed.
+  std::vector<Dfa> content;
+};
+UsefulStates FindUsefulStates(const std::vector<Dfa>& content,
+                              const std::function<int(int, int)>& next,
+                              const std::vector<int>& roots);
 
 // Returns an equivalent reduced EDTD: useless types removed, type ids
 // renumbered densely, content DFAs restricted to surviving types, trimmed,

@@ -571,13 +571,23 @@ ServeResponse Server::HandleRequest(const ServeRequest& request,
       }
       StatusOr<DfaXsd> xsd =
           MinimalUpperApproximation((*schema)->edtd, budget.get());
+      if (xsd.ok()) xsd = MinimizeXsd(*xsd, budget.get());
       if (!xsd.ok()) {
         response.code = CodeForStatus(xsd.status());
         response.body = xsd.status().message();
         break;
       }
+      // The lift to an EDTD is unbudgeted; a deadline it overran still
+      // answers EXHAUSTED.
+      Edtd edtd = StEdtdFromDfaXsd(*xsd);
+      Status deadline = Budget::CheckDeadline(budget.get());
+      if (!deadline.ok()) {
+        response.code = CodeForStatus(deadline);
+        response.body = deadline.message();
+        break;
+      }
       response.code = ResponseCode::kOk;
-      response.body = SchemaToText(StEdtdFromDfaXsd(MinimizeXsd(*xsd)));
+      response.body = SchemaToText(edtd);
       break;
     }
   }

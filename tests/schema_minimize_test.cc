@@ -5,6 +5,10 @@
 #include <random>
 
 #include "stap/approx/inclusion.h"
+#include "stap/approx/upper.h"
+#include "stap/base/budget.h"
+#include "stap/base/metrics.h"
+#include "stap/gen/families.h"
 #include "stap/gen/random.h"
 #include "stap/schema/builder.h"
 #include "stap/schema/minimize.h"
@@ -89,8 +93,23 @@ TEST(MinimizeStEdtdTest, RoundTrip) {
   builder.AddType("Y", "b", "%");
   builder.AddStart("R");
   Edtd edtd = builder.Build();
-  Edtd minimized = MinimizeStEdtd(edtd);
+  ASSERT_TRUE(IsSingleType(edtd));
+  Edtd minimized = StEdtdFromDfaXsd(MinimizeXsd(DfaXsdFromStEdtd(edtd)));
   EXPECT_TRUE(SingleTypeEquivalent(edtd, minimized));
+}
+
+// An expired deadline stops MinimizeXsd before any work: not one content
+// DFA is minimized.
+TEST(MinimizeXsdTest, ExpiredDeadlineStopsBeforeAnyMinimize) {
+  DfaXsd upper = MinimalUpperApproximation(Theorem32Family(6));
+  Budget budget;
+  budget.set_deadline_ms(0);
+  Counter* const calls = GetCounter("minimize.calls");
+  const int64_t before = calls->value();
+  StatusOr<DfaXsd> minimized = MinimizeXsd(upper, &budget);
+  ASSERT_FALSE(minimized.ok());
+  EXPECT_EQ(minimized.status().code(), StatusCode::kResourceExhausted);
+  EXPECT_EQ(calls->value(), before);
 }
 
 // Property sweep: for random single-type schemas, the minimized XSD is

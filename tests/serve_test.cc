@@ -410,6 +410,25 @@ TEST(Serve, BudgetExhaustionReturnsExhaustedFrame) {
   EXPECT_EQ(small->code, ResponseCode::kOk);
 }
 
+// The request deadline reaches APPROX's output stage: minimizing and
+// printing the Theorem 3.2 upper approximation at n=10 takes far longer
+// than 100 ms, so the answer is EXHAUSTED rather than a late OK.
+TEST(Serve, ApproxOutputStageHonoursRequestDeadline) {
+  ServeOptions options;
+  options.request_budget_ms = 100;
+  std::unique_ptr<Server> server = StartWithLib(std::move(options));
+  ServeClient client;
+  ASSERT_TRUE(client.Connect("127.0.0.1", server->port()).ok());
+
+  ServeRequest approx;
+  approx.id = 1;
+  approx.op = Opcode::kApprox;
+  approx.schema_ref = SchemaToText(Theorem32Family(10));
+  StatusOr<ServeResponse> response = client.Call(approx);
+  ASSERT_TRUE(response.ok());
+  EXPECT_EQ(response->code, ResponseCode::kExhausted) << response->body;
+}
+
 TEST(Serve, ConnectionCapShedsWithBusyFrame) {
   ServeOptions options;
   options.max_connections = 1;

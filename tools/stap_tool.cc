@@ -307,11 +307,14 @@ int CmdCheck(Invocation& in) {
 }
 
 // Prints the canonical minimal form of a construction's result.
-int PrintXsd(const Invocation& in, const StatusOr<DfaXsd>& xsd) {
+int PrintXsd(const Invocation& in, StatusOr<DfaXsd> xsd) {
+  if (xsd.ok()) xsd = MinimizeXsd(*xsd, in.budget);
   if (!xsd.ok()) return Fail(xsd.status());
-  StatusOr<DfaXsd> minimized = MinimizeXsd(*xsd, in.budget);
-  if (!minimized.ok()) return Fail(minimized.status());
-  std::cout << SchemaToText(StEdtdFromDfaXsd(*minimized));
+  // The lift to an EDTD is unbudgeted; a deadline it overran still fails.
+  Edtd edtd = StEdtdFromDfaXsd(*xsd);
+  Status deadline = Budget::CheckDeadline(in.budget);
+  if (!deadline.ok()) return Fail(deadline);
+  std::cout << SchemaToText(edtd);
   return 0;
 }
 
