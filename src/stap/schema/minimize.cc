@@ -1,6 +1,5 @@
 #include "stap/schema/minimize.h"
 
-#include <string>
 #include <unordered_map>
 #include <utility>
 #include <vector>
@@ -11,6 +10,129 @@
 #include "stap/schema/reduce.h"
 
 namespace stap {
+
+namespace {
+
+// Splitters handled between two deadline checks.
+constexpr int64_t kSplittersPerDeadlineCheck = 256;
+
+// Hopcroft's partition refinement. Refines `block` (ids below
+// `num_blocks`) to the coarsest partition whose members reach one block
+// on every symbol, a missing transition reaching a virtual sink that
+// forms a block of its own. Splitters are (block, symbol) pairs on a
+// worklist; when a block splits, a pending splitter of it is kept for
+// both halves and otherwise only the smaller half is queued, so each
+// transition is scanned O(log n) times. Returns the number of block ids
+// now in use (the sink's included); only the wall-clock deadline can
+// exhaust, checked every kSplittersPerDeadlineCheck splitters.
+StatusOr<int> RefinePartition(const Dfa& automaton, std::vector<int>* block,
+                              int num_blocks, Budget* budget) {
+  const int n = automaton.num_states();
+  const int k = automaton.num_symbols();
+  const int sink = n;
+  auto target = [&](int q, int a) {
+    int r = automaton.Next(q, a);
+    return r == kNoState ? sink : r;
+  };
+
+  // preds[pred_start[a * (n + 1) + r] ...]: the states with δ(·, a) = r.
+  const size_t slots = static_cast<size_t>(k) * (n + 1);
+  std::vector<int> pred_start(slots + 1, 0);
+  for (int q = 0; q < n; ++q) {
+    for (int a = 0; a < k; ++a) {
+      ++pred_start[static_cast<size_t>(a) * (n + 1) + target(q, a) + 1];
+    }
+  }
+  for (size_t i = 0; i < slots; ++i) pred_start[i + 1] += pred_start[i];
+  std::vector<int> preds(pred_start[slots]);
+  {
+    std::vector<int> cursor(pred_start.begin(), pred_start.end() - 1);
+    for (int q = 0; q < n; ++q) {
+      for (int a = 0; a < k; ++a) {
+        preds[cursor[static_cast<size_t>(a) * (n + 1) + target(q, a)]++] = q;
+      }
+    }
+  }
+
+  // The partition: block b holds elems[first[b] .. end[b]); during a
+  // split its marked members gather in elems[first[b] .. mid[b]).
+  std::vector<int> block_of = *block;
+  block_of.push_back(num_blocks);  // the sink
+  int num_ids = num_blocks + 1;
+  std::vector<int> first(n + 1, 0), end(n + 1, 0);
+  for (int q = 0; q <= n; ++q) ++end[block_of[q]];
+  for (int b = 1; b < num_ids; ++b) end[b] += end[b - 1];
+  std::vector<int> elems(n + 1), loc(n + 1);
+  for (int q = n; q >= 0; --q) {
+    loc[q] = --end[block_of[q]];
+    elems[loc[q]] = q;
+  }
+  for (int b = 0; b < num_ids; ++b) {
+    first[b] = end[b];
+    end[b] = b + 1 < num_ids ? end[b + 1] : n + 1;
+  }
+  std::vector<int> mid = first;
+
+  std::vector<std::pair<int, int>> pending;
+  std::vector<bool> queued(static_cast<size_t>(n + 1) * k, false);
+  auto enqueue = [&](int b, int a) {
+    queued[static_cast<size_t>(b) * k + a] = true;
+    pending.emplace_back(b, a);
+  };
+  for (int b = 0; b < num_ids; ++b) {
+    for (int a = 0; a < k; ++a) enqueue(b, a);
+  }
+
+  std::vector<int> splitter, touched;
+  for (int64_t handled = 0; !pending.empty(); ++handled) {
+    if (handled % kSplittersPerDeadlineCheck == 0) {
+      STAP_RETURN_IF_ERROR(Budget::CheckDeadline(budget));
+    }
+    const auto [c, a] = pending.back();
+    pending.pop_back();
+    queued[static_cast<size_t>(c) * k + a] = false;
+    splitter.assign(elems.begin() + first[c], elems.begin() + end[c]);
+    for (int r : splitter) {
+      const size_t slot = static_cast<size_t>(a) * (n + 1) + r;
+      for (int i = pred_start[slot]; i < pred_start[slot + 1]; ++i) {
+        const int p = preds[i];
+        const int b = block_of[p];
+        if (mid[b] == first[b]) touched.push_back(b);
+        const int other = elems[mid[b]];
+        std::swap(elems[loc[p]], elems[mid[b]]);
+        std::swap(loc[p], loc[other]);
+        ++mid[b];
+      }
+    }
+    for (int b : touched) {
+      if (mid[b] == end[b]) {
+        mid[b] = first[b];
+        continue;
+      }
+      // The marked members become block nb.
+      const int nb = num_ids++;
+      first[nb] = first[b];
+      end[nb] = mid[b];
+      mid[nb] = first[nb];
+      first[b] = mid[b] = end[nb];
+      for (int i = first[nb]; i < end[nb]; ++i) block_of[elems[i]] = nb;
+      const bool nb_smaller = end[nb] - first[nb] <= end[b] - first[b];
+      for (int x = 0; x < k; ++x) {
+        if (queued[static_cast<size_t>(b) * k + x]) {
+          enqueue(nb, x);
+        } else {
+          enqueue(nb_smaller ? nb : b, x);
+        }
+      }
+    }
+    touched.clear();
+  }
+  block_of.pop_back();
+  *block = std::move(block_of);
+  return num_ids;
+}
+
+}  // namespace
 
 DfaXsd MinimizeXsd(const DfaXsd& input) {
   StatusOr<DfaXsd> result = MinimizeXsd(input, nullptr);
@@ -88,45 +210,30 @@ StatusOr<DfaXsd> MinimizeXsd(const DfaXsd& input, Budget* budget) {
 
   // Step 2: initial partition by (label, content language). Content DFAs
   // are canonical minimal automata here, so structural equality decides
-  // language equality. q_init always forms its own block.
-  std::unordered_map<std::string, int> block_ids;
+  // language equality: the key spells out the label and the whole DFA.
+  // q_init always forms its own block (the empty key).
+  std::unordered_map<std::vector<int>, int, IntVectorHash> block_ids;
   std::vector<int> block(n);
   block[0] = 0;
-  block_ids.emplace("", 0);
+  block_ids.emplace(std::vector<int>(), 0);
+  std::vector<int> key;
   for (int q = 1; q < n; ++q) {
-    std::string key =
-        std::to_string(xsd.state_label[q]) + "\n" + xsd.content[q].ToString();
-    auto [it, inserted] = block_ids.emplace(std::move(key), block_ids.size());
+    const Dfa& content = xsd.content[q];
+    key = {xsd.state_label[q], content.num_states(), content.initial()};
+    for (int s = 0; s < content.num_states(); ++s) {
+      key.push_back(content.IsFinal(s));
+      for (int a = 0; a < num_symbols; ++a) key.push_back(content.Next(s, a));
+    }
+    auto [it, inserted] = block_ids.emplace(key, block_ids.size());
     block[q] = it->second;
   }
   int num_blocks = static_cast<int>(block_ids.size());
 
-  // Step 3: refine by successor blocks until stable (hashed signatures,
-  // as in automata/minimize.cc). Refinement never grows the state count,
-  // so only the wall-clock deadline can exhaust; checked once per round.
-  std::vector<int> signature;
-  while (true) {
-    STAP_RETURN_IF_ERROR(Budget::CheckDeadline(budget));
-    std::unordered_map<std::vector<int>, int, IntVectorHash> signature_ids;
-    signature_ids.reserve(static_cast<size_t>(n));
-    std::vector<int> next_block(n);
-    for (int q = 0; q < n; ++q) {
-      signature.clear();
-      signature.reserve(num_symbols + 1);
-      signature.push_back(block[q]);
-      for (int a = 0; a < num_symbols; ++a) {
-        int r = xsd.automaton.Next(q, a);
-        signature.push_back(r == kNoState ? -1 : block[r]);
-      }
-      auto [it, inserted] =
-          signature_ids.emplace(std::move(signature), signature_ids.size());
-      next_block[q] = it->second;
-    }
-    int next_num = static_cast<int>(signature_ids.size());
-    block = std::move(next_block);
-    if (next_num == num_blocks) break;
-    num_blocks = next_num;
-  }
+  // Step 3: refine by successor blocks until stable (Hopcroft).
+  StatusOr<int> refined =
+      RefinePartition(xsd.automaton, &block, num_blocks, budget);
+  if (!refined.ok()) return refined.status();
+  num_blocks = *refined;
 
   // Step 4: the quotient, its blocks numbered in BFS order from q_init's
   // block (symbols ascending). Members of a block agree on label, content

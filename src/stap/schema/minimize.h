@@ -3,8 +3,10 @@
 // The minimal DFA-based XSD for a single-type language is unique: it is
 // the quotient of the (reduced) type automaton under the coarsest
 // equivalence that respects state labels, content languages, and
-// successors. MinimizeXsd computes it in polynomial time; the paper uses
-// this to deliver "optimal representations of optimal approximations".
+// successors. MinimizeXsd computes it in polynomial time — reduction,
+// one content minimization per kept state, and Hopcroft refinement in
+// O(|Σ| n log n) for n states — and the paper uses this to deliver
+// "optimal representations of optimal approximations".
 #ifndef STAP_SCHEMA_MINIMIZE_H_
 #define STAP_SCHEMA_MINIMIZE_H_
 
@@ -21,9 +23,9 @@ namespace stap {
 DfaXsd MinimizeXsd(const DfaXsd& xsd);
 
 // Budgeted variant: the wall-clock deadline is checked before any work,
-// by every content minimization and in every refinement round. Nothing
-// here grows a state count, so the state and set quotas are not charged.
-// A null budget is unlimited.
+// by every content minimization and every few hundred refinement
+// splitters. Nothing here grows a state count, so the state and set
+// quotas are not charged. A null budget is unlimited.
 StatusOr<DfaXsd> MinimizeXsd(const DfaXsd& xsd, Budget* budget);
 
 // Minimizes `xsd` relative to an ambient sibling-word constraint: every

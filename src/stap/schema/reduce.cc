@@ -27,6 +27,31 @@ Dfa RestrictToSymbols(const Dfa& dfa, Allowed allowed) {
   return result.Trimmed();
 }
 
+// True if `dfa` accepts a word over the symbols a with allowed(a): a
+// search over those transitions from the initial state. `seen` is
+// scratch, resized as needed.
+template <typename Allowed>
+bool AcceptsSomeWord(const Dfa& dfa, Allowed allowed,
+                     std::vector<bool>* seen) {
+  if (dfa.num_states() == 0) return false;
+  seen->assign(dfa.num_states(), false);
+  std::vector<int> stack = {dfa.initial()};
+  (*seen)[dfa.initial()] = true;
+  while (!stack.empty()) {
+    const int s = stack.back();
+    stack.pop_back();
+    if (dfa.IsFinal(s)) return true;
+    for (int a = 0; a < dfa.num_symbols(); ++a) {
+      int r = dfa.Next(s, a);
+      if (r != kNoState && !(*seen)[r] && allowed(a)) {
+        (*seen)[r] = true;
+        stack.push_back(r);
+      }
+    }
+  }
+  return false;
+}
+
 }  // namespace
 
 UsefulStates FindUsefulStates(const std::vector<Dfa>& content,
@@ -34,21 +59,49 @@ UsefulStates FindUsefulStates(const std::vector<Dfa>& content,
                               const std::vector<int>& roots) {
   const int n = static_cast<int>(content.size());
   std::vector<bool> productive(n, false);
-  auto restricted = [&](int q) {
-    return RestrictToSymbols(content[q], [&](int a) {
+  auto allowed_from = [&](int q) {
+    return [&, q](int a) {
       int r = next(q, a);
       return r != kNoState && productive[r];
-    });
+    };
+  };
+  auto restricted = [&](int q) {
+    return RestrictToSymbols(content[q], allowed_from(q));
   };
 
-  // Productive states: fixpoint from below.
-  for (bool changed = true; changed;) {
-    changed = false;
-    for (int q = 0; q < n; ++q) {
-      if (!productive[q] && !restricted(q).IsEmpty()) {
-        productive[q] = changed = true;
+  // Productive states: the least fixpoint, by a worklist. parents[r] lists
+  // the states whose content has a transition leading to child r; a state
+  // is re-checked only when one of its children has become productive, so
+  // each content is searched at most once per distinct child.
+  std::vector<std::vector<int>> parents(n);
+  std::vector<int> last_parent(n, kNoState);
+  for (int q = 0; q < n; ++q) {
+    const Dfa& dfa = content[q];
+    for (int s = 0; s < dfa.num_states(); ++s) {
+      for (int a = 0; a < dfa.num_symbols(); ++a) {
+        if (dfa.Next(s, a) == kNoState) continue;
+        int r = next(q, a);
+        if (r != kNoState && last_parent[r] != q) {
+          last_parent[r] = q;
+          parents[r].push_back(q);
+        }
       }
     }
+  }
+  std::vector<bool> seen;
+  std::vector<int> worklist;
+  auto check = [&](int q) {
+    if (!productive[q] &&
+        AcceptsSomeWord(content[q], allowed_from(q), &seen)) {
+      productive[q] = true;
+      worklist.push_back(q);
+    }
+  };
+  for (int q = 0; q < n; ++q) check(q);
+  while (!worklist.empty()) {
+    const int r = worklist.back();
+    worklist.pop_back();
+    for (int q : parents[r]) check(q);
   }
 
   // Reachability from the roots over "occurs in some accepted word": every

@@ -20,7 +20,10 @@ namespace stap {
 // content language content[q] and, on content symbol a, its child in state
 // next(q, a) (kNoState if none). ReduceEdtd passes next(τ, τ') = τ' and the
 // start types as roots; MinimizeXsd passes δ and the states δ(q_init, a)
-// of the start symbols a.
+// of the start symbols a. Productivity is a worklist fixpoint: a state's
+// content is searched once, then again only when one of its children
+// turns productive, so the cost is O(Σ_q |content[q]| · (1 + #children))
+// rather than a sweep of every content per newly productive state.
 struct UsefulStates {
   std::vector<int> kept;  // ascending
   // Per kept state: its content restricted to the symbols leading to

@@ -1,8 +1,8 @@
 #include "stap/schema/single_type.h"
 
+#include <algorithm>
 #include <sstream>
 
-#include "stap/automata/determinize.h"
 #include "stap/automata/minimize.h"
 #include "stap/automata/ops.h"
 #include "stap/base/check.h"
@@ -10,6 +10,44 @@
 #include "stap/schema/type_automaton.h"
 
 namespace stap {
+
+namespace {
+
+// Copies the canonical minimal `dfa` over Σ to the type alphabet, symbol
+// a becoming type type_of[a], and renumbers its states in BFS order with
+// the types ascending. `symbols` lists every symbol `dfa` uses, in
+// ascending order of type_of. The relabeling is injective, so the result
+// is the canonical minimal DFA of the lifted language — exactly what
+// Minimize returns for it — at O(|dfa| · |symbols|) instead of a
+// minimization over the type alphabet.
+Dfa LiftToTypes(const Dfa& dfa, const std::vector<int>& symbols,
+                const std::vector<int>& type_of, int num_types) {
+  std::vector<int> remap(dfa.num_states(), kNoState);
+  std::vector<int> order = {dfa.initial()};
+  remap[dfa.initial()] = 0;
+  for (size_t i = 0; i < order.size(); ++i) {
+    for (int a : symbols) {
+      int r = dfa.Next(order[i], a);
+      if (r != kNoState && remap[r] == kNoState) {
+        remap[r] = static_cast<int>(order.size());
+        order.push_back(r);
+      }
+    }
+  }
+  Dfa lifted(static_cast<int>(order.size()), num_types);
+  for (size_t s = 0; s < order.size(); ++s) {
+    lifted.SetFinal(static_cast<int>(s), dfa.IsFinal(order[s]));
+    for (int a : symbols) {
+      int r = dfa.Next(order[s], a);
+      if (r != kNoState) {
+        lifted.SetTransition(static_cast<int>(s), type_of[a], remap[r]);
+      }
+    }
+  }
+  return lifted;
+}
+
+}  // namespace
 
 int64_t DfaXsd::Size() const {
   int64_t total = sigma.size() + static_cast<int64_t>(start_symbols.size()) +
@@ -70,6 +108,7 @@ std::string DfaXsd::ToString() const {
 DfaXsd DfaXsdFromStEdtd(const Edtd& edtd) {
   TypeAutomaton type_automaton = BuildTypeAutomaton(edtd);
   STAP_CHECK(type_automaton.IsDeterministic());
+  const int num_symbols = edtd.num_symbols();
 
   DfaXsd xsd;
   xsd.sigma = edtd.sigma;
@@ -92,15 +131,21 @@ DfaXsd DfaXsdFromStEdtd(const Edtd& edtd) {
   xsd.automaton = std::move(automaton);
   xsd.state_label = type_automaton.state_label;
 
-  xsd.content.resize(nfa.num_states(), Dfa::EmptyLanguage(edtd.num_symbols()));
+  xsd.content.resize(nfa.num_states(), Dfa::EmptyLanguage(num_symbols));
+  std::vector<int> type_of_symbol(num_symbols);
   for (int tau = 0; tau < edtd.num_types(); ++tau) {
     // μ(d(τ)): the homomorphic image of the content model. Because the
-    // schema is single-type, μ is injective on the types occurring in
-    // d(τ), so the image stays deterministic; determinize-and-minimize
-    // is cheap and also canonicalizes.
-    Nfa image = HomomorphicImage(edtd.content[tau].Trimmed(), edtd.mu,
-                                 edtd.num_symbols());
-    xsd.content[TypeAutomaton::StateOfType(tau)] = MinimizeNfa(image);
+    // schema is single-type, every word of d(τ) uses only the types
+    // δ(τ, a), one per symbol, so the image is d(τ) read through
+    // a ↦ δ(τ, a): already deterministic, minimized over Σ.
+    const int q = TypeAutomaton::StateOfType(tau);
+    for (int a = 0; a < num_symbols; ++a) {
+      int r = xsd.automaton.Next(q, a);
+      type_of_symbol[a] =
+          r == kNoState ? kNoSymbol : TypeAutomaton::TypeOfState(r);
+    }
+    xsd.content[q] = Minimize(
+        InverseHomomorphism(edtd.content[tau], type_of_symbol, num_symbols));
   }
   if (!edtd.content_source.empty()) {
     // Substituting μ into the source regex is exactly the homomorphic
@@ -119,6 +164,7 @@ DfaXsd DfaXsdFromStEdtd(const Edtd& edtd) {
 Edtd StEdtdFromDfaXsd(const DfaXsd& xsd) {
   xsd.CheckWellFormed();
   const int num_states = xsd.automaton.num_states();
+  const int num_symbols = xsd.sigma.size();
   const int init = xsd.automaton.initial();
 
   // Types are the non-initial states, numbered in state order. With the
@@ -148,28 +194,33 @@ Edtd StEdtdFromDfaXsd(const DfaXsd& xsd) {
   }
 
   edtd.content.reserve(num_types);
+  std::vector<int> symbol_to_type(num_symbols);
+  std::vector<int> allowed(num_symbols);
+  std::vector<int> symbols_by_type;
   for (int q : state_of_type) {
-    // Lift content[q] from Σ to types: symbol a becomes the unique type
-    // reached via δ(q, a) when that transition exists.
-    std::vector<int> type_to_symbol(num_types, kNoSymbol);
-    for (int tau = 0; tau < num_types; ++tau) {
-      int a = xsd.state_label[state_of_type[tau]];
-      if (xsd.automaton.Next(q, a) == state_of_type[tau]) {
-        type_to_symbol[tau] = a;
-      }
+    // Lift content[q] from Σ to types: δ(q, ·) is deterministic, so each
+    // symbol a lifts to at most one type, the type of δ(q, a). Symbols
+    // without that transition are dropped, the rest keep their
+    // transitions, so the lift is a relabeling of the restricted content.
+    symbols_by_type.clear();
+    for (int a = 0; a < num_symbols; ++a) {
+      int next = xsd.automaton.Next(q, a);
+      symbol_to_type[a] = next == kNoState ? kNoSymbol : type_of_state[next];
+      allowed[a] = next == kNoState ? kNoSymbol : a;
+      if (next != kNoState) symbols_by_type.push_back(a);
     }
-    edtd.content.push_back(Minimize(
-        InverseHomomorphism(xsd.content[q], type_to_symbol, num_types)));
+    std::sort(symbols_by_type.begin(), symbols_by_type.end(),
+              [&](int a, int b) {
+                return symbol_to_type[a] < symbol_to_type[b];
+              });
+    Dfa restricted =
+        Minimize(InverseHomomorphism(xsd.content[q], allowed, num_symbols));
+    edtd.content.push_back(
+        LiftToTypes(restricted, symbols_by_type, symbol_to_type, num_types));
     if (!xsd.content_source.empty()) {
-      // δ(q, ·) is deterministic, so each symbol lifts to at most one
-      // type; substituting that map into the source regex picks the
-      // unique preimage word-by-word. A source mentioning a symbol with
-      // no transition from q substitutes to nullptr (provenance dropped).
-      std::vector<int> symbol_to_type(xsd.sigma.size(), kNoSymbol);
-      for (int a = 0; a < xsd.sigma.size(); ++a) {
-        int next = xsd.automaton.Next(q, a);
-        if (next != kNoState) symbol_to_type[a] = type_of_state[next];
-      }
+      // Substituting the same map into the source regex picks the unique
+      // preimage word-by-word. A source mentioning a symbol with no
+      // transition from q substitutes to nullptr (provenance dropped).
       edtd.content_source.push_back(
           xsd.content_source[q] == nullptr
               ? nullptr

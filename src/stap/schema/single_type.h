@@ -52,7 +52,13 @@ struct DfaXsd {
 };
 
 // Prop. 2.9 conversions. DfaXsdFromStEdtd requires IsSingleType(edtd)
-// (checked); both translations are linear up to content-DFA cleanup.
+// (checked). Both are relabelings: type δ(q, a) ↔ symbol a. Each content
+// is minimized once over Σ — O(|content| · |Σ|), never a determinization
+// or a minimization over the type alphabet. StEdtdFromDfaXsd restricts
+// content[q] to the symbols with a transition from q and writes it, BFS
+// numbered by lifted type id, into a dense table over all types: that
+// table, O(|content| · #types) per type, is the one cost left quadratic
+// in the type count.
 DfaXsd DfaXsdFromStEdtd(const Edtd& edtd);
 Edtd StEdtdFromDfaXsd(const DfaXsd& xsd);
 
